@@ -8,8 +8,9 @@ distinct queries.  The serial baseline answers the stream one
 ``SolverPipeline.solve`` at a time (its ``StructureCache`` still
 amortizes per-target analysis, so the comparison is fair); the service
 answers it through :class:`repro.service.SolveService`, which adds
-in-flight coalescing of duplicates, thread workers for the cheap
-routes, and process-pool workers for the heavy ones.
+in-flight coalescing of duplicates and a pool of worker threads.  The
+service is thread-only; multi-core serving is the edge's job (see
+``bench_p09_edge.py``).
 
 Run directly (writes ``BENCH_service.json``)::
 
@@ -109,10 +110,6 @@ def main() -> None:
         help="largest clique size in the backtracking-heavy part",
     )
     parser.add_argument("--thread-workers", type=int, default=4)
-    parser.add_argument(
-        "--process-workers", type=int, default=None,
-        help="default: one per CPU; 0 disables the process backend",
-    )
     parser.add_argument("--out", default="BENCH_service.json")
     args = parser.parse_args()
 
@@ -144,16 +141,12 @@ def main() -> None:
         f"{serial['throughput_rps']:8.1f} req/s"
     )
 
-    config = ServiceConfig(
-        thread_workers=args.thread_workers,
-        process_workers=args.process_workers,
-    )
+    config = ServiceConfig(thread_workers=args.thread_workers)
     service = run_service(service_stream, config)
     print(
         f"  service: {service['seconds']:8.3f}s  "
         f"{service['throughput_rps']:8.1f} req/s  "
-        f"(coalesce hits: {service['stats']['coalesce_hits']}, "
-        f"process solves: {service['stats']['process_solves']})"
+        f"(coalesce hits: {service['stats']['coalesce_hits']})"
     )
     speedup = serial["seconds"] / service["seconds"]
     print(f"  speedup: {speedup:8.2f}x")
@@ -188,8 +181,6 @@ def main() -> None:
             "throughput_rps": round(service["throughput_rps"], 2),
             "config": {
                 "thread_workers": config.thread_workers,
-                "process_workers": config.process_workers,
-                "process_cost_threshold": config.process_cost_threshold,
                 "num_shards": config.num_shards,
             },
             "stats": service["stats"],

@@ -182,7 +182,7 @@ def bench_service() -> dict:
     batch = instances + instances[:6]  # 6 duplicate resubmissions
 
     async def drive():
-        config = ServiceConfig(thread_workers=4, process_workers=0)
+        config = ServiceConfig(thread_workers=4)
         async with SolveService(config) as service:
             waiters = [
                 service.submit_datalog(source, target, k=2)

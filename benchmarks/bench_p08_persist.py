@@ -170,7 +170,7 @@ def bench_service(store_dir: str) -> dict:
     # Populate the store once, through a service generation that exits
     # via drain (flush + close) like a production restart would.
     async def populate():
-        config = ServiceConfig(process_workers=0, store_path=store_dir)
+        config = ServiceConfig(store_path=store_dir)
         service = SolveService(config)
         await service.start()
         try:
@@ -187,12 +187,12 @@ def bench_service(store_dir: str) -> dict:
     for repeat in range(REPEAT):
         batch = [(rebuild(s), rebuild(t)) for s, t in corpus()]
         cold = asyncio.run(
-            drive(ServiceConfig(process_workers=0), batch)
+            drive(ServiceConfig(), batch)
         )
         batch = [(rebuild(s), rebuild(t)) for s, t in corpus()]
         warm = asyncio.run(
             drive(
-                ServiceConfig(process_workers=0, store_path=store_dir),
+                ServiceConfig(store_path=store_dir),
                 batch,
             )
         )

@@ -115,11 +115,6 @@ class SolveStats:
         hooks are disabled (``REPRO_OBS_METRICS=0``).  Paired with
         ``plan``, this is the raw material of the plan-vs-actual
         calibration report.
-    trace:
-        Exported span subtrees (JSON-ready dicts) produced on the far
-        side of a process boundary: a pool worker attaches its in-worker
-        trace here so the service can graft it under the dispatch span.
-        ``None`` everywhere else.
     """
 
     attempted: tuple[str, ...] = ()
@@ -128,7 +123,6 @@ class SolveStats:
     timings: Mapping[str, float] = field(default_factory=dict)
     plan: Mapping[str, object] | None = None
     kernel: Mapping[str, int] | None = None
-    trace: tuple[Mapping[str, object], ...] | None = None
 
 
 @dataclass(frozen=True)

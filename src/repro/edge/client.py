@@ -20,7 +20,6 @@ import json
 from typing import Any
 
 from repro.edge import protocol
-from repro.edge.server import BATCH_CONTENT_TYPE
 from repro.exceptions import EdgeProtocolError
 from repro.structures.io import structure_to_dict
 from repro.structures.structure import Structure
@@ -95,22 +94,30 @@ class EdgeClient:
     def batch(self, items: list[dict[str, Any]]) -> list[dict[str, Any]]:
         """``POST /v1/batch``: a list of op dicts, answered in order.
 
-        Items carry real :class:`Structure` objects (``{"op": "solve",
-        "source": s, "target": t}``; containment items carry ``q1``/
-        ``q2`` rule texts, datalog items an extra ``k``).  Each response
-        slot is either a result dict or an ``{"error": ...}`` dict.
+        Items may carry real :class:`Structure` objects (``{"op":
+        "solve", "source": s, "target": t}``; containment items carry
+        ``q1``/``q2`` rule texts, datalog items an extra ``k``); they are
+        sent in their JSON dict form.  Each response slot is either a
+        result dict shaped like the single endpoints' or an
+        ``{"error": ...}`` dict.
         """
-        status, headers, body = self.request(
-            "POST",
-            "/v1/batch",
-            protocol.encode_frames(items),
-            content_type=BATCH_CONTENT_TYPE,
+        body = [
+            {
+                key: (
+                    structure_to_dict(value)
+                    if isinstance(value, Structure)
+                    else value
+                )
+                for key, value in item.items()
+            }
+            for item in items
+        ]
+        status, _headers, payload = self.request(
+            "POST", "/v1/batch", protocol.dumps(body)
         )
         if status != 200:
-            self._raise_typed(status, body)
-        return protocol.decode_frames(
-            body, max_items=1 << 20, max_item_bytes=1 << 30
-        )
+            self._raise_typed(status, payload)
+        return json.loads(payload)
 
     # -- the GET endpoints -----------------------------------------------
 
@@ -133,17 +140,17 @@ class EdgeClient:
         method: str,
         path: str,
         body: bytes | None,
-        *,
-        content_type: str = "application/json",
     ) -> tuple[int, dict[str, str], bytes]:
         """One raw round-trip: ``(status, lowercase headers, body)``.
+
+        Every request body the edge accepts is JSON.
 
         Reconnects once on a stale keep-alive connection (the server may
         have closed it between requests — normal HTTP/1.1 behaviour).
         """
         headers = {}
         if body is not None:
-            headers["Content-Type"] = content_type
+            headers["Content-Type"] = "application/json"
         for attempt in (0, 1):
             try:
                 self._conn.request(method, path, body=body, headers=headers)

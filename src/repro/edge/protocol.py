@@ -1,8 +1,9 @@
-"""The edge wire protocol: JSON schemas, error mapping, batch framing.
+"""The edge wire protocol: JSON schemas, error mapping, batches.
 
 One module owns everything that crosses the network boundary, so the
 server, the client, the docs table, and the conformance suite all read
-the same definitions:
+the same definitions.  Every body is JSON: bytes read from a socket
+only ever decode to JSON values, never to arbitrary Python objects.
 
 * **JSON requests** (:func:`decode_solve`, :func:`decode_containment`,
   :func:`decode_datalog`) — structures travel in the
@@ -10,58 +11,48 @@ the same definitions:
   parsable rule text.  Malformed bodies raise a typed
   :class:`~repro.exceptions.EdgeProtocolError` (400), never a bare
   ``KeyError``.
+* **Batches** (:func:`decode_batch`, :func:`decode_batch_item`) — the
+  ``/v1/batch`` body is a JSON array of op objects, each shaped like a
+  single-endpoint body plus an ``"op"`` field (``solve``,
+  ``containment`` or ``datalog``) and decoded by that endpoint's own
+  decoder.  The response is a JSON array in input order.
 * **JSON responses** (:func:`encode_result`, :func:`error_body`) — byte
   deterministic: ``sort_keys`` + compact separators, and no wall-clock
   fields, so the conformance suite pins golden response bytes.
 * **Error mapping** (:data:`ERROR_STATUS`, :func:`status_for`) — the PR 7
   error taxonomy folded onto HTTP statuses.  Exception *names* cross the
-  shard pipe (exception objects may not pickle after a crash), so the
+  shard pipe (exception objects may not serialize after a crash), so the
   table is keyed by class name and :func:`rebuild_error` re-raises the
   typed class on the edge side.
-* **Binary batch framing** (:func:`encode_frames`, :func:`decode_frames`)
-  — the ``/v1/batch`` endpoint's length-prefixed layout: a 4-byte magic
-  (``REB1``), a ``u32`` item count, then per item a ``u32`` length and a
-  pickle payload serialized at the *store's* pickle protocol
-  (:data:`repro.persist.codec.PICKLE_PROTOCOL` — one serializer fleet
-  wide, the same rule the artifact store pins).  Like the process-pool
-  boundary it mirrors, the batch endpoint trusts its callers: it is a
-  fleet-internal protocol, not an Internet-facing one.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
-import struct
-from typing import Any, Iterable
+from typing import Any, Callable
 
 from repro.exceptions import (
     EdgeProtocolError,
     ParseError,
     ReproError,
 )
-from repro.persist.codec import PICKLE_PROTOCOL
 from repro.structures.io import structure_from_dict, structure_to_dict
 from repro.structures.structure import Structure
 
 __all__ = [
-    "BATCH_MAGIC",
     "ERROR_STATUS",
+    "decode_batch",
+    "decode_batch_item",
     "decode_containment",
     "decode_datalog",
-    "decode_frames",
     "decode_solve",
     "dumps",
-    "encode_frames",
     "encode_result",
     "error_body",
+    "error_envelope",
     "rebuild_error",
     "status_for",
 ]
-
-BATCH_MAGIC = b"REB1"
-_COUNT = struct.Struct("!I")
-_LENGTH = struct.Struct("!I")
 
 #: Exception class name → HTTP status.  The single source of truth for
 #: the backpressure/error table in ``docs/architecture.md``; anything
@@ -81,7 +72,6 @@ ERROR_STATUS: dict[str, int] = {
     "ServiceClosedError": 503,
     # a shard died under the request and the retry budget ran out
     "ShardCrashedError": 503,
-    "WorkerCrashedError": 503,
     # the kernel refused a table its cost model says will not fit
     "ResourceBudgetError": 503,
     # the request's deadline elapsed inside the fleet
@@ -111,16 +101,20 @@ def rebuild_error(error_name: str, message: str) -> ReproError:
     return ReproError(f"{error_name}: {message}")
 
 
-def dumps(payload: dict) -> bytes:
+def dumps(payload: Any) -> bytes:
     """Deterministic JSON bytes (sorted keys, compact separators)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _loads(body: bytes) -> dict:
+def _parse(body: bytes) -> Any:
     try:
-        data = json.loads(body)
+        return json.loads(body)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise EdgeProtocolError(400, f"invalid JSON body: {exc}") from None
+
+
+def _loads(body: bytes) -> dict:
+    data = _parse(body)
     if not isinstance(data, dict):
         raise EdgeProtocolError(400, "request body must be a JSON object")
     return data
@@ -149,9 +143,7 @@ def _timeout(data: dict) -> float | None:
     return float(raw)
 
 
-def decode_solve(body: bytes) -> dict[str, Any]:
-    """``/v1/solve`` body → a router payload (source/target/timeout)."""
-    data = _loads(body)
+def _solve_fields(data: dict) -> dict[str, Any]:
     return {
         "source": _structure(data, "source"),
         "target": _structure(data, "target"),
@@ -159,9 +151,7 @@ def decode_solve(body: bytes) -> dict[str, Any]:
     }
 
 
-def decode_containment(body: bytes) -> dict[str, Any]:
-    """``/v1/containment`` body → a router payload (query texts)."""
-    data = _loads(body)
+def _containment_fields(data: dict) -> dict[str, Any]:
     q1, q2 = data.get("q1"), data.get("q2")
     if not isinstance(q1, str) or not isinstance(q2, str):
         raise EdgeProtocolError(
@@ -170,9 +160,7 @@ def decode_containment(body: bytes) -> dict[str, Any]:
     return {"q1": q1, "q2": q2, "timeout": _timeout(data)}
 
 
-def decode_datalog(body: bytes) -> dict[str, Any]:
-    """``/v1/datalog`` body → a router payload (source/target/k)."""
-    data = _loads(body)
+def _datalog_fields(data: dict) -> dict[str, Any]:
     k = data.get("k", 2)
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 8:
         raise EdgeProtocolError(400, f"k must be an int in [1, 8], got {k!r}")
@@ -182,6 +170,63 @@ def decode_datalog(body: bytes) -> dict[str, Any]:
         "k": k,
         "timeout": _timeout(data),
     }
+
+
+#: Op name → the field decoder its single endpoint uses.
+_FIELDS: dict[str, Callable[[dict], dict[str, Any]]] = {
+    "solve": _solve_fields,
+    "containment": _containment_fields,
+    "datalog": _datalog_fields,
+}
+
+
+def decode_solve(body: bytes) -> dict[str, Any]:
+    """``/v1/solve`` body → a router payload (source/target/timeout)."""
+    return _solve_fields(_loads(body))
+
+
+def decode_containment(body: bytes) -> dict[str, Any]:
+    """``/v1/containment`` body → a router payload (query texts)."""
+    return _containment_fields(_loads(body))
+
+
+def decode_datalog(body: bytes) -> dict[str, Any]:
+    """``/v1/datalog`` body → a router payload (source/target/k)."""
+    return _datalog_fields(_loads(body))
+
+
+def decode_batch(body: bytes, *, max_items: int) -> list[Any]:
+    """``/v1/batch`` body → its raw items; a bad envelope is a typed 400.
+
+    Only the envelope is checked here (a JSON array within the item
+    cap); each item is decoded on its own by :func:`decode_batch_item`,
+    so one bad item fails its slot, not the batch.
+    """
+    items = _parse(body)
+    if not isinstance(items, list):
+        raise EdgeProtocolError(
+            400, "batch body must be a JSON array of op objects"
+        )
+    if len(items) > max_items:
+        raise EdgeProtocolError(
+            400, f"batch of {len(items)} items exceeds the {max_items} cap"
+        )
+    return items
+
+
+def decode_batch_item(item: Any, index: int) -> dict[str, Any]:
+    """One batch item → a router payload carrying its ``op``."""
+    if not isinstance(item, dict):
+        raise EdgeProtocolError(
+            400, f"batch item {index} is not a JSON object"
+        )
+    op = item.get("op")
+    fields = _FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise EdgeProtocolError(
+            400, f"batch item {index} has unknown op {op!r}"
+        )
+    return {"op": op, **fields(item)}
 
 
 def _element_out(value: Any) -> Any:
@@ -216,132 +261,11 @@ def encode_result(result: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def error_envelope(error_name: str, message: str, status: int) -> dict:
+    """The typed error object: a non-2xx body, or one failed batch slot."""
+    return {"error": {"type": error_name, "status": status, "message": message}}
+
+
 def error_body(error_name: str, message: str, status: int) -> bytes:
     """The JSON error envelope every non-2xx response carries."""
-    return dumps(
-        {"error": {"type": error_name, "status": status, "message": message}}
-    )
-
-
-# -- the binary batch framing ----------------------------------------------
-
-
-def encode_frames(items: Iterable[object]) -> bytes:
-    """Pickle each item and frame the lot (magic, count, length-prefixed)."""
-    payloads = [
-        pickle.dumps(item, protocol=PICKLE_PROTOCOL) for item in items
-    ]
-    parts = [BATCH_MAGIC, _COUNT.pack(len(payloads))]
-    for payload in payloads:
-        parts.append(_LENGTH.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def decode_frames(
-    body: bytes, *, max_items: int, max_item_bytes: int
-) -> list[object]:
-    """Parse a batch body; every violation is a typed 400.
-
-    The framing is validated *before* any payload is unpickled: magic,
-    declared count against the caps, every length prefix against the
-    remaining bytes — a truncated or lying frame fails fast and typed.
-    """
-    if len(body) < len(BATCH_MAGIC) + _COUNT.size:
-        raise EdgeProtocolError(400, "batch body shorter than its header")
-    if body[: len(BATCH_MAGIC)] != BATCH_MAGIC:
-        raise EdgeProtocolError(
-            400, f"bad batch magic: {body[:4]!r} (expected {BATCH_MAGIC!r})"
-        )
-    (count,) = _COUNT.unpack_from(body, len(BATCH_MAGIC))
-    if count > max_items:
-        raise EdgeProtocolError(
-            400, f"batch of {count} items exceeds the {max_items} cap"
-        )
-    offset = len(BATCH_MAGIC) + _COUNT.size
-    items: list[object] = []
-    for index in range(count):
-        if offset + _LENGTH.size > len(body):
-            raise EdgeProtocolError(
-                400, f"batch truncated before item {index}'s length"
-            )
-        (length,) = _LENGTH.unpack_from(body, offset)
-        offset += _LENGTH.size
-        if length > max_item_bytes:
-            raise EdgeProtocolError(
-                400,
-                f"batch item {index} of {length} bytes exceeds "
-                f"{max_item_bytes}",
-            )
-        if offset + length > len(body):
-            raise EdgeProtocolError(
-                400,
-                f"batch truncated inside item {index}: "
-                f"{len(body) - offset} of {length} bytes",
-            )
-        try:
-            items.append(pickle.loads(body[offset : offset + length]))
-        except Exception as exc:  # noqa: BLE001 — any unpickle failure is a bad frame
-            raise EdgeProtocolError(
-                400, f"batch item {index} failed to decode: {exc!r}"
-            ) from None
-        offset += length
-    if offset != len(body):
-        raise EdgeProtocolError(
-            400, f"{len(body) - offset} trailing bytes after the batch"
-        )
-    return items
-
-
-def batch_request_payload(item: object, index: int) -> dict[str, Any]:
-    """Validate one decoded batch item into a router (op, payload) pair.
-
-    Items are plain dicts — ``{"op": "solve", "source": Structure,
-    "target": Structure, "timeout": ...}``, containment carrying query
-    rule texts under ``q1``/``q2`` and datalog an extra ``k`` — i.e. the
-    JSON schema with real :class:`Structure` objects in place of their
-    dict forms.
-    """
-    if not isinstance(item, dict) or "op" not in item:
-        raise EdgeProtocolError(
-            400, f"batch item {index} is not an op dict"
-        )
-    op = item["op"]
-    if op not in ("solve", "containment", "datalog"):
-        raise EdgeProtocolError(
-            400, f"batch item {index} has unknown op {op!r}"
-        )
-    timeout = item.get("timeout")
-    if timeout is not None and (
-        not isinstance(timeout, (int, float)) or timeout <= 0
-    ):
-        raise EdgeProtocolError(
-            400, f"batch item {index} has a bad timeout: {timeout!r}"
-        )
-    if op == "containment":
-        q1, q2 = item.get("q1"), item.get("q2")
-        if not isinstance(q1, str) or not isinstance(q2, str):
-            raise EdgeProtocolError(
-                400,
-                f"batch item {index}: containment needs q1/q2 rule texts",
-            )
-        return {"op": op, "q1": q1, "q2": q2, "timeout": timeout}
-    source, target = item.get("source"), item.get("target")
-    if not isinstance(source, Structure) or not isinstance(target, Structure):
-        raise EdgeProtocolError(
-            400, f"batch item {index} needs Structure source/target"
-        )
-    payload: dict[str, Any] = {
-        "op": op,
-        "source": source,
-        "target": target,
-        "timeout": timeout,
-    }
-    if op == "datalog":
-        k = item.get("k", 2)
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 8:
-            raise EdgeProtocolError(
-                400, f"batch item {index} has a bad k: {k!r}"
-            )
-        payload["k"] = k
-    return payload
+    return dumps(error_envelope(error_name, message, status))

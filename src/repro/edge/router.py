@@ -15,21 +15,24 @@ uses internally, so "same fingerprint → same shard" holds fleet-wide and
 the per-process in-flight coalescing of PR 3 becomes fleet-wide
 coalescing for free.
 
-Supervision mirrors :mod:`repro.service.supervision`: a reader thread
-per shard turns pipe EOF into a crash signal on the event loop, in-flight
-requests fail with a typed :class:`~repro.exceptions.ShardCrashedError`
-(retried within the router's budget), and a single-flight respawn with
-exponential backoff brings the shard back *warm* — the replacement
-process re-opens the dead shard's store partition, whose per-record
-flushes survive SIGKILL, and seeds its caches before answering.
+The shards are the stack's only process boundary (each shard's service
+runs threads only), so the router is also its only supervisor and, used
+in-process without the HTTP front end, its multi-core API.  A reader
+thread per shard turns pipe EOF into a crash signal on the event loop,
+in-flight requests fail with a typed
+:class:`~repro.exceptions.ShardCrashedError` (retried within the
+router's budget), and a single-flight respawn with exponential backoff
+brings the shard back *warm* — the replacement process re-opens the dead
+shard's store partition, whose per-record flushes survive SIGKILL, and
+seeds its caches before answering.
 
 IPC is deliberately boring: a duplex pipe per shard carrying
 ``(request_id, op, payload)`` down and ``(request_id, ok, result)`` up,
 with errors crossing as ``(class_name, message)`` pairs — exception
-*instances* are never pickled across the boundary (a crashed shard
-can't be trusted to produce picklable ones).  Spawn context, not fork:
-the edge process runs an event loop and reader threads, and forking a
-threaded process is how you inherit locks in undefined states.
+*instances* never cross the boundary (a crashed shard can't be trusted
+to produce serializable ones).  Spawn context, not fork: the edge
+process runs an event loop and reader threads, and forking a threaded
+process is how you inherit locks in undefined states.
 """
 
 from __future__ import annotations
@@ -126,9 +129,6 @@ async def _shard_serve(index: int, conn, options: dict[str, Any]) -> None:
     from repro.service import ServiceConfig, SolveService
 
     config = ServiceConfig(
-        # One process per shard is the scaling unit; a nested process
-        # pool per shard would oversubscribe the machine.
-        process_workers=0,
         plan=bool(options.get("plan", True)),
         thread_workers=int(options.get("thread_workers", 2)),
         max_pending=int(options.get("max_pending", 256)),

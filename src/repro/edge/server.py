@@ -6,7 +6,7 @@ endpoint           method semantics
 ``/v1/solve``       POST  JSON homomorphism instance → verdict + witness
 ``/v1/containment`` POST  JSON ``q1``/``q2`` rule texts → Theorem 2.1 verdict
 ``/v1/datalog``     POST  JSON instance + ``k`` → Theorem 4.2 verdict
-``/v1/batch``       POST  length-prefixed binary batch (``REB1`` framing)
+``/v1/batch``       POST  JSON array of op objects → JSON array of results
 ``/v1/metrics``     GET   Prometheus text: the edge's :mod:`repro.obs`
                           registry + the shards' kernel counters merged
                           in as ``shard``-labelled series
@@ -49,10 +49,7 @@ from repro.obs.metrics import KERNEL_COUNTERS, default_registry
 
 logger = logging.getLogger("repro.edge.server")
 
-__all__ = ["EdgeConfig", "EdgeServer", "BATCH_CONTENT_TYPE"]
-
-#: The media type of the binary batch endpoint.
-BATCH_CONTENT_TYPE = "application/x-repro-batch"
+__all__ = ["EdgeConfig", "EdgeServer"]
 
 _ROUTES = frozenset({"solve", "containment", "datalog", "batch"})
 
@@ -80,7 +77,6 @@ class EdgeConfig:
     retry_budget: int = 1
     retry_after: int = 1
     batch_max_items: int = 256
-    batch_max_item_bytes: int = 4 * 1024 * 1024
     drain_timeout: float = 30.0
     service_options: dict[str, Any] = field(default_factory=dict)
 
@@ -304,8 +300,6 @@ class EdgeServer:
         self._open_requests += 1
         self._open_gauge.set(self._open_requests)
         try:
-            if route == "batch":
-                return await self._handle_batch(request)
             return await self._handle_json(request, route)
         finally:
             self._open_requests -= 1
@@ -357,6 +351,8 @@ class EdgeServer:
                 f"not {content_type or '(none)'!r}",
             )
         assert self.router is not None
+        if route == "batch":
+            return self._json_response(200, await self._batch(request.body))
         decode: Callable[[bytes], dict]
         run: Callable[[dict], Awaitable[dict]]
         if route == "solve":
@@ -368,32 +364,26 @@ class EdgeServer:
         result = await run(decode(request.body))
         return self._json_response(200, protocol.encode_result(result))
 
-    async def _handle_batch(self, request: HttpRequest) -> bytes:
-        """The binary batch endpoint: decode frames, fan out, re-frame.
+    async def _batch(self, body: bytes) -> list[dict]:
+        """The batch endpoint: decode the array, fan out, answer in order.
 
         Items fail *independently*: each slot of the response carries
-        either the result dict or an ``{"error": ...}`` dict, in input
-        order, so one malformed or overloaded item can't poison its
-        batch-mates.  The HTTP status is 200 whenever the batch framing
-        itself was sound.
+        either the result object or an ``{"error": ...}`` object, in
+        input order, so one malformed or overloaded item can't poison
+        its batch-mates.  The HTTP status is 200 whenever the envelope
+        itself (a JSON array within the item cap) was sound.
         """
-        if request.content_type() != BATCH_CONTENT_TYPE:
-            raise EdgeProtocolError(
-                415,
-                f"/v1/batch takes {BATCH_CONTENT_TYPE}, "
-                f"not {request.content_type() or '(none)'!r}",
-            )
-        items = protocol.decode_frames(
-            request.body,
-            max_items=self.config.batch_max_items,
-            max_item_bytes=self.config.batch_max_item_bytes,
+        items = protocol.decode_batch(
+            body, max_items=self.config.batch_max_items
         )
         assert self.router is not None
 
         async def one(item: object, index: int) -> dict:
             try:
-                payload = protocol.batch_request_payload(item, index)
-                return await self.router.dispatch(payload)
+                payload = protocol.decode_batch_item(item, index)
+                return protocol.encode_result(
+                    await self.router.dispatch(payload)
+                )
             except ReproError as exc:
                 name = type(exc).__name__
                 status = (
@@ -401,19 +391,11 @@ class EdgeServer:
                     if isinstance(exc, EdgeProtocolError)
                     else protocol.status_for(name)
                 )
-                return {
-                    "error": {
-                        "type": name,
-                        "status": status,
-                        "message": str(exc),
-                    }
-                }
+                return protocol.error_envelope(name, str(exc), status)
 
-        results = await asyncio.gather(
+        return await asyncio.gather(
             *(one(item, index) for index, item in enumerate(items))
         )
-        body = protocol.encode_frames(results)
-        return response_bytes(200, body, content_type=BATCH_CONTENT_TYPE)
 
     # -- response helpers --------------------------------------------------
 
@@ -427,7 +409,7 @@ class EdgeServer:
             "shards": self.router.shard_states(),
         }
 
-    def _json_response(self, status: int, payload: dict) -> bytes:
+    def _json_response(self, status: int, payload: dict | list) -> bytes:
         return response_bytes(status, protocol.dumps(payload))
 
     def _error_response(self, name: str, message: str, status: int) -> bytes:

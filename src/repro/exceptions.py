@@ -53,7 +53,7 @@ class ResourceBudgetError(ReproError):
     spaces of :mod:`repro.kernel.datalogk`, the bag tables of
     :mod:`repro.kernel.decomp`) *before* the allocation happens, so a
     planner or serving layer can degrade to a semantically equivalent
-    route (search) instead of letting a worker process OOM.  Never
+    route (search) instead of letting a shard process OOM.  Never
     retryable as-is: the same request hits the same bound.
     """
 
@@ -95,17 +95,6 @@ class SolveTimeoutError(ServiceError):
     """
 
 
-class WorkerCrashedError(ServiceError):
-    """A process-pool worker died while executing (or awaiting) a solve.
-
-    The typed wrapper around a mid-flight ``BrokenProcessPool``: the
-    supervisor respawns the pool and re-dispatches in-flight requests,
-    and only raises this when the retry budget, the request deadline, or
-    the pool's restart budget is exhausted.  Retryable by construction —
-    the crash says nothing about the instance being solved.
-    """
-
-
 class EdgeError(ServiceError):
     """Base class for network-edge failures (:mod:`repro.edge`)."""
 
@@ -129,11 +118,10 @@ class EdgeProtocolError(EdgeError):
 class ShardCrashedError(EdgeError):
     """A shard worker process died with requests in flight.
 
-    The edge analogue of :class:`WorkerCrashedError`: the router fails
-    the shard's in-flight requests with this, respawns the shard
-    (single-flight, backed off, warm from the shard's store partition),
-    and retries within the request's budget.  Only surfaces to a client
-    — as a typed 503 — when the retry budget is exhausted.
+    The router fails the shard's in-flight requests with this, respawns
+    the shard (single-flight, backed off, warm from the shard's store
+    partition), and retries within the request's budget.  Only surfaces
+    to a client — as a typed 503 — when the retry budget is exhausted.
     """
 
 

@@ -1,12 +1,14 @@
 """Deterministic fault injection for the resilience chaos suite.
 
-The resilience layer (supervised workers, retries, breakers, deadline
-propagation) is only trustworthy if its failure paths are *exercised*,
-and real failures — a worker segfault, an OOM, a slow disk — do not show
-up on demand.  This module plants named injection points on the hot
-paths and drives them from a seeded plan, so ``tests/test_chaos.py`` can
-replay the exact same storm of worker kills, kernel exceptions, delays,
-and budget breaches on every run of a given seed.
+The resilience layer (retries, breakers, deadline propagation) is only
+trustworthy if its failure paths are *exercised*, and real failures — a
+kernel bug, a slow disk, a table that will not fit — do not show up on
+demand.  This module plants named injection points on the hot paths and
+drives them from a seeded plan, so ``tests/test_chaos.py`` can replay
+the exact same storm of kernel exceptions, delays, and budget breaches
+on every run of a given seed.  (Process deaths are not injected here:
+the edge chaos suite, ``tests/test_edge_chaos.py``, SIGKILLs real shard
+processes instead.)
 
 Design constraints, in order:
 
@@ -21,17 +23,11 @@ Design constraints, in order:
   suffers the *n*-th hit still depends on scheduling; the chaos suite
   therefore asserts *invariants* — every request terminates correctly —
   not specific victims.)
-* **Crosses the process boundary.**  ``install(plan, env=True)`` exports
-  the plan as JSON in ``REPRO_FAULT_PLAN``; pool workers re-install it
-  from the environment in their initializer, so "kill the worker
-  mid-solve" faults fire *inside* the worker process.
 
 The planted points:
 
 ====================================  =======================================
 ``service.dispatch.delay``            sleep before executing a request
-``worker.kill.before``                ``os._exit`` before the worker solves
-``worker.kill.during``                ``os._exit`` on a timer while solving
 ``kernel.compile.raise``              :class:`FaultInjectedError` from
                                       ``compile_target``
 ``datalogk.budget``                   forced :class:`ResourceBudgetError`
@@ -43,8 +39,6 @@ The planted points:
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import threading
 from typing import Mapping
@@ -53,21 +47,13 @@ from repro.exceptions import FaultInjectedError
 
 __all__ = [
     "FaultPlan",
-    "ENV_VAR",
     "current",
     "delay_seconds",
     "fires",
     "install",
-    "install_from_env",
     "raise_fault",
     "uninstall",
 ]
-
-ENV_VAR = "REPRO_FAULT_PLAN"
-
-#: The kill faults exit with this status so a post-mortem can tell an
-#: injected death from a genuine crash.
-KILL_EXIT_STATUS = 86
 
 
 class FaultPlan:
@@ -75,8 +61,7 @@ class FaultPlan:
 
     ``points`` maps point names to probabilities in ``[0, 1]``; missing
     points never fire.  ``delay_ms`` bounds the uniform draw of the
-    delay points (both dispatch delays and the timer of
-    ``worker.kill.during``).
+    delay points.
     """
 
     def __init__(
@@ -121,58 +106,22 @@ class FaultPlan:
         with self._lock:
             return self._rng(point + ".amount").uniform(low, high) / 1000.0
 
-    # -- serialization across the process boundary ---------------------------
-
-    def spec(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "points": self.points,
-                "delay_ms": list(self.delay_ms),
-            }
-        )
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "FaultPlan":
-        data = json.loads(spec)
-        return cls(
-            int(data["seed"]),
-            {str(k): float(v) for k, v in data["points"].items()},
-            delay_ms=tuple(data.get("delay_ms", (1.0, 25.0))),
-        )
-
 
 #: The installed plan; ``None`` (the default, always, in production)
 #: short-circuits every hook to a single global read.
 _plan: FaultPlan | None = None
 
 
-def install(plan: FaultPlan, *, env: bool = False) -> None:
-    """Arm ``plan``; with ``env`` also export it to worker processes.
-
-    ``env=True`` writes :data:`ENV_VAR` so process pools spawned *after*
-    this call pick the plan up in their initializer
-    (:func:`install_from_env`).
-    """
+def install(plan: FaultPlan) -> None:
+    """Arm ``plan`` in this process."""
     global _plan
     _plan = plan
-    if env:
-        os.environ[ENV_VAR] = plan.spec()
 
 
 def uninstall() -> None:
-    """Disarm fault injection and clear the environment export."""
+    """Disarm fault injection."""
     global _plan
     _plan = None
-    os.environ.pop(ENV_VAR, None)
-
-
-def install_from_env() -> None:
-    """Arm the plan exported in :data:`ENV_VAR`, if any (worker side)."""
-    spec = os.environ.get(ENV_VAR)
-    if spec:
-        global _plan
-        _plan = FaultPlan.from_spec(spec)
 
 
 def current() -> FaultPlan | None:
@@ -196,24 +145,3 @@ def raise_fault(point: str) -> None:
     plan = _plan
     if plan is not None and plan.fires(point):
         raise FaultInjectedError(f"injected fault at {point!r}")
-
-
-def kill_process(point: str, *, delay_range: tuple[float, float] | None = None) -> None:
-    """Hook: hard-kill this process when ``point`` fires (worker side).
-
-    With ``delay_range`` the kill happens on a daemon timer a few
-    milliseconds later — mid-solve — instead of immediately.
-    ``os._exit`` (not ``sys.exit``) so no ``finally`` blocks run: the
-    death is as abrupt as a segfault, which is the failure mode the
-    supervisor must survive.
-    """
-    plan = _plan
-    if plan is None or not plan.fires(point):
-        return
-    if delay_range is None:
-        os._exit(KILL_EXIT_STATUS)
-    with plan._lock:
-        pause = plan._rng(point + ".amount").uniform(*delay_range)
-    timer = threading.Timer(pause, os._exit, args=(KILL_EXIT_STATUS,))
-    timer.daemon = True
-    timer.start()

@@ -1,15 +1,11 @@
 """The width-aware planner: cost models over the kernel's compiled sizes.
 
-Two consumers read predictions off this module:
-
-* the **solve service** (:mod:`repro.service`) routes each request to an
-  in-process worker thread (no serialization, shared caches) or a
-  process-pool worker (pays a pickle round-trip, escapes the GIL) by the
-  predicted cost of the *chosen* engine;
-* the **pipeline's planner strategy**
-  (:class:`repro.core.strategies.planner.WidthPlannerStrategy`) picks the
-  solving engine itself — backtracking search, the treewidth DP, or the
-  existential k-pebble game — per instance, from the same predictions.
+The **pipeline's planner strategy**
+(:class:`repro.core.strategies.planner.WidthPlannerStrategy`) reads its
+predictions off this module to pick the solving engine — backtracking
+search, the treewidth DP, or the existential k-pebble game — per
+instance; the query-level planner in :mod:`repro.cq.containment` reuses
+the same cost models.
 
 All signals are read off compilations and memoized analyses already on
 the solve path: compiled sizes (linear, memoized on the structures and

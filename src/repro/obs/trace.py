@@ -10,13 +10,13 @@ cancellation design in :mod:`repro.core.cancellation`: a
 (:func:`span_scope`), never inherited implicitly, so the kernel loops
 stay oblivious to where their work came from.
 
-Crossing the *process* boundary cannot share objects, so the service
-pickles only the coordinates — ``(trace_id, parent_span_id)`` — with the
-job.  The worker builds a fresh root from them
-(:meth:`Span.new_remote`), runs the solve under it, and ships the
-finished subtree back as an exported dict inside ``SolveStats``; the
-service grafts it under the dispatch span with :meth:`Span.add_exported`.
-The result is one tree, one trace id, spans on both sides of the pickle.
+Crossing a *process* boundary cannot share objects, so only the
+coordinates — ``(trace_id, parent_span_id)`` — travel with the job.  The
+far side builds a fresh root from them (:meth:`Span.new_remote`), runs
+its work under it, and ships the finished subtree back as an exported
+dict, which the caller grafts under its dispatch span with
+:meth:`Span.add_exported`: one tree, one trace id, spans on both sides.
+(The edge's shard pipe is the boundary these helpers are kept for.)
 
 Instrumentation points use :func:`maybe_span`, which is a shared no-op
 context manager whenever no ambient span is installed — the disabled

@@ -11,8 +11,8 @@ instead of recompiling:
   versioned header, per-record length + SHA-256, scan/recovery
   primitives;
 * :mod:`repro.persist.codec` — the one canonical serializer per
-  artifact kind (plain pickle, shared with the process-pool payload
-  path so the two cannot drift);
+  artifact kind (plain pickle over the artifacts' own
+  ``__getstate__``/``__setstate__``);
 * :mod:`repro.persist.store` — :class:`ArtifactStore`: single-writer
   locking, atomic publish, quarantine-and-truncate recovery, bounded
   compaction, obs-plane telemetry;
@@ -21,8 +21,7 @@ instead of recompiling:
 
 The service integration lives in :mod:`repro.service`:
 ``ServiceConfig(store_path=...)`` / ``REPRO_STORE`` opens the store at
-startup, warms the caches, hands the path to pool workers (read-only),
-and ``SolveService.drain()`` flushes and closes it on the way out.
+startup and warms the caches, and ``SolveService.drain()`` flushes and closes it on the way out.
 """
 
 from repro.persist.codec import (

@@ -1,8 +1,9 @@
 """One canonical serializer for every artifact kind.
 
 The rule (and the bugfix this module pins): the bytes the store persists
-are produced by the *same* serializer the process pool already uses —
-plain pickle over the artifact object — so the two paths cannot drift.
+are produced by the *same* serializer the artifact objects already
+define for pickling — plain pickle over the artifact object — so the two
+paths cannot drift.
 ``Structure.__getstate__`` keeps only the mathematical content plus the
 fingerprint; the compiled classes add explicit ``__getstate__`` /
 ``__setstate__`` pairs (:class:`repro.kernel.compile.CompiledTarget`,

@@ -4,8 +4,7 @@ Plane-level read-through sites that have no service object in scope —
 the canonical-Datalog ``lru_cache`` in
 :mod:`repro.datalog.canonical_program` is the one today — consult this
 handle.  The solve service installs its store here on ``start()`` and
-restores the previous value on ``stop()``; pool workers install their
-read-only store in ``worker_initializer``.  Nothing in the library
+restores the previous value on ``stop()``.  Nothing in the library
 *requires* a default store: every consumer treats ``None`` as "compute
 as before".
 """

@@ -19,7 +19,7 @@ Durability discipline, in order of paranoia:
   :class:`~repro.exceptions.ArtifactStoreError` instead of interleaving
   appends.  The kernel releases the lock when the holder dies — SIGKILL
   included — which is what makes crash-respawn cycles safe without a
-  lease protocol.  ``ro`` mode (pool workers) takes no lock at all.
+  lease protocol.  ``ro`` mode (readers) takes no lock at all.
 * **Self-checking records** — every append carries its own length
   prefix and SHA-256 (:mod:`repro.persist.format`); the digest is
   re-verified on *every* read, so a record that rots after open is
@@ -103,7 +103,7 @@ class ArtifactStore:
         ``"rw"`` — the single writer: takes the lock, recovers the log
         (quarantine + truncate), appends.  ``"ro"`` — a reader: no
         lock, no mutation ever; a broken tail is simply not indexed, so
-        a pool worker can open the file a live writer is appending to.
+        a reader can open the file a live writer is appending to.
     max_bytes:
         Compaction threshold for the log file; ``None`` means unbounded.
     recorder:

@@ -10,21 +10,20 @@ the :mod:`repro.core.pipeline`:
   canonical fingerprints; ``submit_containment`` admits query–query
   (Theorem 2.1 containment) traffic through the compiled query plane
   with the same coalescing plus its own stats route;
-* backend selection by compiled-size cost estimate
-  (:mod:`repro.kernel.estimate`): worker threads for cheap requests,
-  a process pool (:mod:`repro.service.workers`) for
-  backtracking-heavy ones;
+* execution on worker threads only, under each request's cancellation
+  scope.  The service runs in one process; for more cores, run several
+  behind the edge's :class:`~repro.edge.router.ShardRouter` (usable
+  in-process), whose shard respawn is the stack's one supervisor;
 * :class:`ShardedStructureCache` (:mod:`repro.service.cache`) —
   per-shard-locked analysis caches shared by the worker threads;
 * :class:`ServiceStats` (:mod:`repro.service.stats`) — queue depth,
   coalesce hits, per-route latency histograms, aggregated per-solve
   :class:`~repro.core.pipeline.SolveStats`;
-* resilience (:mod:`repro.service.supervision`,
-  :mod:`repro.service.resilience`) — supervised worker respawn after
-  crashes, deadline propagation into the kernel loops, retry budgets,
-  and circuit breakers that degrade failing routes to semantically
-  equivalent fallbacks; chaos-tested against the deterministic fault
-  harness (:mod:`repro.faultinject`).
+* resilience (:mod:`repro.service.resilience`) — deadline propagation
+  into the kernel loops, retry budgets, and circuit breakers that
+  degrade failing routes to semantically equivalent fallbacks;
+  chaos-tested against the deterministic fault harness
+  (:mod:`repro.faultinject`).
 
 Load characteristics are measured by
 ``benchmarks/bench_p03_service_load.py`` (results in
@@ -38,13 +37,11 @@ from repro.exceptions import (
     ServiceError,
     ServiceOverloadedError,
     SolveTimeoutError,
-    WorkerCrashedError,
 )
 from repro.service.cache import ShardedStructureCache
 from repro.service.resilience import BreakerState, CircuitBreaker
 from repro.service.service import Priority, ServiceConfig, SolveService
 from repro.service.stats import LatencyHistogram, ServiceStats
-from repro.service.supervision import SupervisedProcessPool
 
 __all__ = [
     "BreakerState",
@@ -61,6 +58,4 @@ __all__ = [
     "ShardedStructureCache",
     "SolveService",
     "SolveTimeoutError",
-    "SupervisedProcessPool",
-    "WorkerCrashedError",
 ]

@@ -13,9 +13,8 @@ cause is worth routing around.*  This module supplies both halves:
   breaker; after ``cooldown`` seconds one *probe* request is let through
   (half-open); its outcome closes or re-opens the breaker.  While open,
   the service degrades the route to its semantically equivalent
-  fallback — process backend → thread backend, compiled kernel → legacy
-  engine, canonical Datalog → planner search — so answers stay exact,
-  only slower.
+  fallback — compiled kernel → legacy engine, canonical Datalog →
+  planner search — so answers stay exact, only slower.
 
 Every breaker method runs on the service's event-loop thread, so the
 state machine needs no locking; the optional ``on_transition`` callback
@@ -33,7 +32,6 @@ from repro.exceptions import (
     FaultInjectedError,
     ResourceBudgetError,
     SolveTimeoutError,
-    WorkerCrashedError,
 )
 from repro.obs.logs import get_logger
 
@@ -54,8 +52,8 @@ class CircuitBreaker:
     ``allow()`` is the gate: ``True`` means "take the guarded route".
     It has a side effect only at the open → half-open boundary (it
     claims the single probe slot), so callers must only consult it when
-    they would actually take the route — a request that never needed the
-    process backend must not consume the process breaker's probe.
+    they would actually take the route — a request that never asked for
+    canonical Datalog must not consume the datalog breaker's probe.
     """
 
     __slots__ = (
@@ -162,8 +160,8 @@ class CircuitBreaker:
 class FailureKind(Enum):
     """What one failed attempt means for the request's next attempt."""
 
-    #: Worth another attempt as-is (a worker died, an injected transient
-    #: fired) — the cause is not a property of the instance.
+    #: Worth another attempt as-is (an injected transient fired) — the
+    #: cause is not a property of the instance.
     TRANSIENT = "transient"
     #: Worth another attempt with the route degraded (strip the canonical
     #: Datalog ask) — the cause is a budget the fallback route avoids.
@@ -178,17 +176,14 @@ class FailureKind(Enum):
 def classify(exc: BaseException) -> tuple[FailureKind, str | None]:
     """Map one attempt's exception to (kind, breaker name or ``None``).
 
-    The order matters: :class:`WorkerCrashedError` and
-    :class:`FaultInjectedError` are transient (the *next* attempt may
-    land on a healthy worker or a healthy code path);
+    :class:`FaultInjectedError` is transient (the *next* attempt may
+    land on a healthy code path);
     :class:`ResourceBudgetError` is structural but *degradable* — the
     fallback route avoids the table that would not fit;
     :class:`SolveTimeoutError` is retryable only with new budget, which
     the caller checks against the request's live deadline.  Everything
     else is permanent: the same instance will fail the same way.
     """
-    if isinstance(exc, WorkerCrashedError):
-        return FailureKind.TRANSIENT, "process"
     if isinstance(exc, FaultInjectedError):
         return FailureKind.TRANSIENT, "kernel"
     if isinstance(exc, ResourceBudgetError):

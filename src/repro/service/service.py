@@ -17,17 +17,13 @@ databases.  :class:`SolveService` is that serving layer:
   the running computation and receive the identical ``Solution`` object.
   Nothing about results is cached beyond the in-flight window, so a
   failed or timed-out solve can never poison later answers.
-* **Backends** — every request is first planned on a worker thread: the
-  target is compiled through the shared sharded cache and
-  :mod:`repro.kernel.estimate` predicts the cost of the *chosen* solving
-  route (search, treewidth DP, or — with planner routing on — the
-  k-pebble game).  Cheap requests (the paper's polynomial islands,
-  bounded-width DP solves, small searches) are solved right there on
-  the thread — no serialization, shared caches; expensive ones
-  (backtracking-heavy) are shipped to a process-pool worker, escaping
-  the GIL so they cannot stall the rest of the traffic.  Each worker
-  process keeps its own long-lived pipeline and cache
-  (:mod:`repro.service.workers`).
+* **Execution** — every request runs ``SolverPipeline.solve`` on a
+  worker thread, under the request's cancellation scope, so the kernel
+  loops abandon a solve cooperatively once its deadline passes.  The
+  service is single-process by design: the multi-core path is the
+  edge's :class:`~repro.edge.router.ShardRouter`, whose shard processes
+  each run one of these services and whose respawn loop is the one
+  supervisor in the stack.
 * **Caching** — the thread backend's pipeline uses a
   :class:`~repro.service.cache.ShardedStructureCache`: per-shard locks,
   fingerprint-routed, so concurrent threads only serialize when they ask
@@ -39,18 +35,16 @@ databases.  :class:`SolveService` is that serving layer:
   (Prometheus exposition via :meth:`SolveService.exposition`),
   ``service.recorder`` (a bounded flight recorder of lifecycle events),
   and — with ``ServiceConfig.trace`` on — ``service.trace_log``, holding
-  one end-to-end span tree per finished request, worker-process kernel
-  phases included.
-* **Resilience** — worker processes run under a supervisor
-  (:mod:`repro.service.supervision`) that detects mid-flight crashes and
-  respawns the pool with backed-off restarts; each request carries a
-  deadline that propagates into the kernel hot loops
-  (:mod:`repro.core.cancellation`), so a timed-out solve stops consuming
-  its worker; transient failures retry within a per-request budget; and
-  per-route circuit breakers (:mod:`repro.service.resilience`) degrade a
-  repeatedly failing route to its semantically equivalent fallback —
-  process → thread, compiled kernel → legacy engine, canonical Datalog →
-  planner search — so answers stay exact under faults.
+  one end-to-end span tree per finished request, kernel phases
+  included.
+* **Resilience** — each request carries a deadline that propagates into
+  the kernel hot loops (:mod:`repro.core.cancellation`), so a timed-out
+  solve stops consuming its worker; transient failures retry within a
+  per-request budget; and per-route circuit breakers
+  (:mod:`repro.service.resilience`) degrade a repeatedly failing route
+  to its semantically equivalent fallback — compiled kernel → legacy
+  engine, canonical Datalog → planner search — so answers stay exact
+  under faults.
 
 Typical use::
 
@@ -94,9 +88,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     SolveTimeoutError,
     VocabularyError,
-    WorkerCrashedError,
 )
-from repro.kernel.estimate import estimate_cost, plan_instance
 from repro.obs.logs import get_logger
 from repro.obs.metrics import Counter, Gauge, default_registry
 from repro.obs.recorder import FlightRecorder
@@ -104,8 +96,6 @@ from repro.obs.trace import Span, TraceLog, child_scope
 from repro.service.cache import ShardedStructureCache
 from repro.service.resilience import CircuitBreaker, FailureKind, classify
 from repro.service.stats import ServiceStats
-from repro.service.supervision import SupervisedProcessPool
-from repro.service.workers import process_solve
 from repro.structures.fingerprint import instance_fingerprint
 from repro.structures.homomorphism import find_homomorphism
 from repro.structures.structure import Structure
@@ -159,43 +149,38 @@ _UNSET = object()
 class ServiceConfig:
     """Tuning knobs of a :class:`SolveService`.
 
-    ``process_workers=None`` sizes the pool to the machine
-    (``os.cpu_count()``); ``0`` disables the process backend entirely —
-    every request then runs on the thread backend regardless of cost.
+    ``thread_workers`` sizes the worker-thread pool every solve runs on.
+    ``process_workers`` is kept only for callers that still pass it: the
+    service runs no process pool, so ``0`` (the default) is the one
+    accepted value and anything else raises ``ValueError`` — use
+    :class:`~repro.edge.router.ShardRouter` for more cores.  The field
+    is removed once the benchmark ledger stops passing it.
     ``max_pending`` bounds *open* requests (queued plus executing);
     coalesced duplicates ride along for free and are never rejected.
-    ``process_cost_threshold`` is in the unitless scale of
-    :mod:`repro.kernel.estimate` — compared against the *chosen* route's
-    predicted cost, so a bounded-width instance the planner sends to the
-    cheap DP stays on the thread backend even when a raw search estimate
-    would have shipped it to a process.  ``plan=True`` additionally lets
-    the pipeline's width-aware planner strategy pick the solving engine
-    per request (and consider the pebble route), with the decision
-    visible in each ``Solution.stats.plan``.
+    ``plan=True`` lets the pipeline's width-aware planner strategy pick
+    the solving engine per request (and consider the pebble route), with
+    the decision visible in each ``Solution.stats.plan``.
 
     The resilience knobs: ``retry_budget`` is the number of *additional*
-    attempts a request gets after a transient failure (worker crash,
-    injected fault, budget degradation), always within the request's
-    remaining deadline.  ``breaker_threshold`` consecutive failures of a
-    degradable route (process backend, kernel compile, canonical
-    Datalog) open that route's circuit breaker; after
-    ``breaker_cooldown`` seconds one probe request tests the route
-    again.  ``worker_restart_backoff`` is the base of the supervisor's
-    exponential respawn backoff after a worker-process crash.
+    attempts a request gets after a transient failure (injected fault,
+    budget degradation), always within the request's remaining deadline.
+    ``breaker_threshold`` consecutive failures of a degradable route
+    (kernel compile, canonical Datalog) open that route's circuit
+    breaker; after ``breaker_cooldown`` seconds one probe request tests
+    the route again.
 
     ``trace=True`` opens a root span per admitted request and threads it
-    through every layer the request crosses — queue, retry loop, backend
-    dispatch (including the process-pool hop), planner decision, kernel
-    phases — with finished traces collected on ``service.trace_log``.
-    The default comes from the ``REPRO_TRACE`` environment variable.
+    through every layer the request crosses — queue, retry loop, thread
+    dispatch, planner decision, kernel phases — with finished traces
+    collected on ``service.trace_log``.  The default comes from the
+    ``REPRO_TRACE`` environment variable.
 
     The persistence knobs: ``store_path`` (default: the ``REPRO_STORE``
     environment variable) opens a crash-safe
-    :class:`~repro.persist.ArtifactStore` there at startup — the service
-    process writes, worker processes read the same log, and a restarted
-    service starts *warm*: with ``store_warm`` (default) every persisted
-    structure artifact is seeded into the sharded cache and every
-    compiled query into the containment fast path before the first
+    :class:`~repro.persist.ArtifactStore` there at startup, and a
+    restarted service starts *warm*: with ``store_warm`` (default) every
+    persisted structure artifact is seeded into the sharded cache and
+    every compiled query into the containment fast path before the first
     request is admitted.  ``store_max_bytes`` (``REPRO_STORE_MAX_BYTES``)
     bounds the log via newest-first compaction.  ``drain_timeout`` is
     :meth:`SolveService.drain`'s default grace period before in-flight
@@ -206,9 +191,8 @@ class ServiceConfig:
     """
 
     thread_workers: int = 4
-    process_workers: int | None = None
+    process_workers: int = 0
     max_pending: int = 1024
-    process_cost_threshold: float = 20_000.0
     default_timeout: float | None = None
     num_shards: int = ShardedStructureCache.DEFAULT_NUM_SHARDS
     cache_maxsize: int = StructureCache.DEFAULT_MAXSIZE
@@ -218,7 +202,6 @@ class ServiceConfig:
     retry_budget: int = 2
     breaker_threshold: int = 5
     breaker_cooldown: float = 1.0
-    worker_restart_backoff: float = 0.05
     trace: bool = field(default_factory=_env_trace_default)
     store_path: str | None = field(default_factory=_env_store_default)
     store_max_bytes: int | None = field(
@@ -226,6 +209,14 @@ class ServiceConfig:
     )
     store_warm: bool = True
     drain_timeout: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.process_workers != 0:
+            raise ValueError(
+                f"process_workers={self.process_workers!r}: SolveService "
+                "is thread-only; run several through ShardRouter for more "
+                "cores"
+            )
 
 
 @dataclass
@@ -289,22 +280,22 @@ class SolveService:
         self.cache = cache if cache is not None else ShardedStructureCache(
             self._config.num_shards, maxsize=self._config.cache_maxsize
         )
-        #: The thread backend's pipeline, sharing the sharded cache.
+        #: The pipeline every solve runs on, sharing the sharded cache.
         self.pipeline = SolverPipeline(cache=self.cache)
         self.stats = ServiceStats()
         #: Finished request traces (bounded; populated with tracing on).
         self.trace_log = TraceLog()
         #: Lifecycle flight recorder: admissions, retries, breaker
-        #: transitions, worker crashes/restarts — dumped when debugging
-        #: an incident, asserted against in the chaos suite.
+        #: transitions — dumped when debugging an incident, asserted
+        #: against in the chaos suite.
         self.recorder = FlightRecorder()
         #: The registry this service's scrape-time collector reports
         #: into (the process-wide default, shared with kernel counters).
         self.metrics = default_registry()
         #: One circuit breaker per degradable route.  While a breaker is
         #: open the route is served by its semantically equivalent
-        #: fallback: "process" → the thread backend, "kernel" → the
-        #: legacy engine, "datalog" → the planner's search route.
+        #: fallback: "kernel" → the legacy engine, "datalog" → the
+        #: planner's search route.
         self.breakers: dict[str, CircuitBreaker] = {
             name: CircuitBreaker(
                 name,
@@ -312,7 +303,7 @@ class SolveService:
                 cooldown=self._config.breaker_cooldown,
                 on_transition=self._note_breaker_transition,
             )
-            for name in ("process", "kernel", "datalog")
+            for name in ("kernel", "datalog")
         }
         #: The persistent artifact store (opened by :meth:`start` when
         #: the config names a path; ``None`` while stopped, after a
@@ -326,7 +317,6 @@ class SolveService:
         self._query_artifacts: dict[str, "CompiledQuery"] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread_pool: ThreadPoolExecutor | None = None
-        self._supervisor: SupervisedProcessPool | None = None
         self._heap: list[tuple[int, int, _Request]] = []
         #: Admitted-but-undispatched requests; len(self._heap) would
         #: over-count by the stale entries priority bumps leave behind.
@@ -352,48 +342,16 @@ class SolveService:
         return self._config
 
     async def start(self) -> "SolveService":
-        """Start the dispatcher and worker pools on the running loop."""
+        """Start the dispatcher and the worker threads on the running loop."""
         if self._running:
             return self
         self._loop = asyncio.get_running_loop()
-        config = self._config
-        # The store opens before the worker pool spawns so the initial
-        # workers already see every record a previous service generation
-        # left behind (recovery runs here, under the writer lock).
         self._open_store()
-        workers = (
-            config.process_workers
-            if config.process_workers is not None
-            else (os.cpu_count() or 1)
-        )
-        if workers > 0:
-            # The supervisor spawns the worker processes *now*, before
-            # the service has started any thread (forking a
-            # multi-threaded process can inherit locks mid-acquire) and
-            # keeps respawning them after crashes.  If the platform
-            # refuses, run thread-only rather than failing the service.
-            supervisor = SupervisedProcessPool(
-                workers,
-                config.cache_maxsize,
-                store_path=(
-                    config.store_path if self.store is not None else None
-                ),
-                restart_backoff=config.worker_restart_backoff,
-                on_restart=self._note_worker_restart,
-            )
-            self._supervisor = (
-                supervisor if await supervisor.start(self._loop) else None
-            )
-        else:
-            self._supervisor = None
         self._thread_pool = ThreadPoolExecutor(
-            max_workers=config.thread_workers,
+            max_workers=self._config.thread_workers,
             thread_name_prefix="repro-solve",
         )
-        concurrency = config.thread_workers + (
-            workers if self._supervisor is not None else 0
-        )
-        self._slots = asyncio.Semaphore(concurrency)
+        self._slots = asyncio.Semaphore(self._config.thread_workers)
         self._work_available = asyncio.Event()
         self._capacity = asyncio.Condition()
         self.metrics.register_collector(self._metrics_collector)
@@ -500,10 +458,8 @@ class SolveService:
         clean = self._open_requests == 0
         if not clean:
             # Grace period over: expire every survivor's shared token.
-            # Running solves (thread or process side) hit it at their
-            # next cooperative check; still-queued requests fail at
-            # their first.  The cancel is advisory-free — tokens are
-            # read on every check — so no backend-specific plumbing.
+            # Running solves hit it at their next cooperative check;
+            # still-queued requests fail at their first.
             self.recorder.record(
                 "service.drain.expired", open_requests=self._open_requests
             )
@@ -529,9 +485,6 @@ class SolveService:
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=True)
             self._thread_pool = None
-        if self._supervisor is not None:
-            await self._supervisor.shutdown(wait=True)
-            self._supervisor = None
         self.metrics.unregister_collector(self._metrics_collector)
         self._close_store()
 
@@ -890,9 +843,7 @@ class SolveService:
             # waiter needs: an unbounded attacher lifts the deadline
             # entirely, a bounded one extends it (later wins).  The token
             # reads its deadline on every check, so this reaches a solve
-            # already running on the thread backend; a process-backend
-            # solve keeps its dispatched budget, and the service retries
-            # it with the new budget if it times out.
+            # that is already running.
             if timeout is None:
                 existing.token.deadline = None
             elif existing.token.deadline is not None:
@@ -1009,12 +960,6 @@ class SolveService:
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
 
-    def _note_worker_restart(self) -> None:
-        self.stats.worker_restarts += 1
-        self.recorder.record(
-            "worker.restart", restarts=self.stats.worker_restarts
-        )
-
     def _note_breaker_transition(self, name: str, state) -> None:
         self.stats.note_breaker_transition(name, state.value)
         self.recorder.record(
@@ -1063,7 +1008,6 @@ class SolveService:
             ("backend",),
         )
         backends.inc(stats.thread_solves, backend="thread")
-        backends.inc(stats.process_solves, backend="process")
         cache = Counter(
             "repro_service_cache_events_total",
             "Structure-cache traffic folded from per-solve stats.",
@@ -1088,11 +1032,6 @@ class SolveService:
         for key, value in stats.breaker_transitions.items():
             name, _, state = key.partition(":")
             transitions.inc(value, breaker=name, state=state)
-        restarts = Counter(
-            "repro_service_worker_restarts_total",
-            "Process-pool rebuilds performed after worker crashes.",
-        )
-        restarts.inc(stats.worker_restarts)
         latency = Gauge(
             "repro_service_latency_ms",
             "End-to-end latency percentiles per route (milliseconds).",
@@ -1112,77 +1051,22 @@ class SolveService:
             cache,
             breaker_state,
             transitions,
-            restarts,
             latency,
         )
 
-    def _plan_and_maybe_solve(
-        self, request: _Request, options: dict, allow_process: bool
-    ) -> tuple[str, float, Solution | None]:
-        """Runs on a worker thread: plan, and solve if cheap.
-
-        Compiling the target through the sharded cache both feeds the
-        planner and warms the cache every thread-backend solve of this
-        target will hit.  The thread/process decision compares the
-        *chosen* route's predicted cost against the threshold: a
-        search-heavy instance the planner can decide by DP or pebble no
-        longer pays the process hop.  Pebble routing is only considered
-        when the pipeline will actually follow the plan
-        (``config.plan``); otherwise the prediction sticks to the
-        search/DP routes the fixed registry can take.
+    def _thread_solve(self, request: _Request, options: dict) -> Solution:
+        """Runs on a worker thread: one pipeline solve of the request.
 
         Runs under the request's cancellation scope, so an
-        already-expired deadline fails fast and a thread-backend solve
-        is abandoned cooperatively once the deadline passes.
+        already-expired deadline fails fast and a running solve is
+        abandoned cooperatively once the deadline passes.
         """
         with cancel_scope(request.token):
             request.token.check()
-            threshold = self._config.process_cost_threshold
-            with child_scope(request.span, "service.plan") as plan_span:
-                ctarget = self.cache.compiled_target(request.target)
-                cost = estimate_cost(
-                    request.source, request.target, ctarget=ctarget
-                )
-                if options["plan"] or (allow_process and cost >= threshold):
-                    # The width estimate (a greedy decomposition) is only
-                    # worth computing when it can change something: the
-                    # pipeline will follow the plan, or the raw search
-                    # estimate would ship the request to a process and a
-                    # cheap DP route could keep it here.  Below-threshold
-                    # requests with planning off skip it — they are
-                    # thread-solved either way, and the fixed registry's
-                    # treewidth route decomposes through the pipeline cache.
-                    cost = plan_instance(
-                        request.source,
-                        request.target,
-                        ctarget=ctarget,
-                        width_threshold=options["width_threshold"],
-                        pebble_k=options["try_pebble_refutation"],
-                        allow_pebble=options["plan"],
-                        datalog_k=options["try_canonical_datalog"],
-                    ).predicted_cost
-                ship = allow_process and cost >= threshold
-                if plan_span is not None:
-                    plan_span.set(
-                        predicted_cost=cost,
-                        backend="process" if ship else "thread",
-                    )
-            if ship:
-                return "process", cost, None
             with child_scope(request.span, "backend.thread"):
-                solution = self.pipeline.solve(
+                return self.pipeline.solve(
                     request.source, request.target, **options
                 )
-            return "thread", cost, solution
-
-    def _thread_solve(self, request: _Request, options: dict) -> Solution:
-        """Runs on a worker thread: the process-degraded fallback solve."""
-        with cancel_scope(request.token), child_scope(
-            request.span, "backend.thread", degraded="process-breaker"
-        ):
-            return self.pipeline.solve(
-                request.source, request.target, **options
-            )
 
     def _legacy_solve(self, request: _Request) -> Solution:
         """Runs on a worker thread: the kernel-breaker fallback.
@@ -1200,92 +1084,18 @@ class SolveService:
             )
         return Solution(assignment, "legacy-engine(kernel-breaker)")
 
-    def _deadline_remaining(self, request: _Request) -> float | None:
-        deadline = request.token.deadline
-        return None if deadline is None else deadline.remaining()
-
-    async def _attempt(
-        self, request: _Request, options: dict
-    ) -> tuple[Solution, str]:
-        """One resilient attempt: plan on a thread, maybe hop to a process."""
-        assert self._loop is not None and self._thread_pool is not None
-        allow_process = (
-            self._supervisor is not None and self._supervisor.available
-        )
-        backend, _cost, solution = await self._loop.run_in_executor(
-            self._thread_pool,
-            self._plan_and_maybe_solve,
-            request,
-            options,
-            allow_process,
-        )
-        if solution is not None:
-            return solution, backend
-        # The plan chose the process backend.  The breaker is consulted
-        # only now — a request that never needed a process must not
-        # consume its half-open probe slot.
-        assert self._supervisor is not None
-        if self.breakers["process"].allow():
-            remaining = self._deadline_remaining(request)
-            if remaining is not None and remaining <= 0:
-                raise SolveTimeoutError(
-                    "deadline expired before process dispatch"
-                )
-            # Spans don't pickle; only the coordinates cross the pool
-            # boundary.  The worker opens a remote span under them and
-            # ships its finished subtree back on ``stats.trace``, which
-            # is grafted here — one trace id across both processes.
-            dispatch_span = (
-                request.span.child("backend.process")
-                if request.span is not None
-                else None
-            )
-            trace_ctx = (
-                (dispatch_span.trace_id, dispatch_span.span_id)
-                if dispatch_span is not None
-                else None
-            )
-            try:
-                solution = await self._supervisor.run(
-                    self._loop,
-                    process_solve,
-                    request.source,
-                    request.target,
-                    options,
-                    remaining,
-                    trace_ctx,
-                )
-            except BaseException as exc:
-                if dispatch_span is not None:
-                    dispatch_span.set(error=type(exc).__name__)
-                    dispatch_span.end()
-                raise
-            if dispatch_span is not None:
-                stats = solution.stats
-                if stats is not None and stats.trace:
-                    for exported in stats.trace:
-                        dispatch_span.add_exported(exported)
-                dispatch_span.end()
-            self.breakers["process"].record_success()
-            return solution, "process"
-        # Breaker open: same question, answered on the thread backend.
-        self.stats.note_degraded("process")
-        solution = await self._loop.run_in_executor(
-            self._thread_pool, self._thread_solve, request, options
-        )
-        return solution, "thread"
-
-    async def _solve_resilient(self, request: _Request) -> tuple[Solution, str]:
+    async def _solve_resilient(self, request: _Request) -> Solution:
         """Drive attempts until success, permanent failure, or budgets end.
 
-        The retry policy in one place: transient failures (worker crash,
-        injected fault) retry as-is; a budget breach retries with the
+        The retry policy in one place: transient failures (an injected
+        fault) retry as-is; a budget breach retries with the
         canonical-Datalog ask stripped (the planner then routes to
         search — semantically identical); a cooperative timeout retries
         only if the deadline was extended by a more patient coalesced
         waiter; anything else is permanent.  Every retry is bounded by
         ``retry_budget`` and by the request's remaining deadline.
         """
+        assert self._loop is not None and self._thread_pool is not None
         breakers = self.breakers
         options = request.options
         attempts = max(1, self._config.retry_budget + 1)
@@ -1305,30 +1115,18 @@ class SolveService:
             use_legacy = not breakers["kernel"].allow()
             if use_legacy:
                 self.stats.note_degraded("kernel")
+            call = (
+                (self._legacy_solve, request)
+                if use_legacy
+                else (self._thread_solve, request, attempt_options)
+            )
             try:
-                if use_legacy:
-                    assert self._loop and self._thread_pool
-                    solution = await self._loop.run_in_executor(
-                        self._thread_pool, self._legacy_solve, request
-                    )
-                    backend = "thread"
-                else:
-                    solution, backend = await self._attempt(
-                        request, attempt_options
-                    )
+                solution = await self._loop.run_in_executor(
+                    self._thread_pool, *call
+                )
             except Exception as exc:  # noqa: BLE001 — classified below
                 kind, breaker_name = classify(exc)
-                if isinstance(exc, WorkerCrashedError):
-                    self.recorder.record(
-                        "worker.crash", seq=request.seq, error=str(exc)
-                    )
-                    _log.warning(
-                        "worker crashed under request %d: %s",
-                        request.seq,
-                        exc,
-                        extra={"event": "worker.crash", "seq": request.seq},
-                    )
-                elif isinstance(exc, ResourceBudgetError):
+                if isinstance(exc, ResourceBudgetError):
                     self.recorder.record(
                         "budget.trip", seq=request.seq, error=str(exc)
                     )
@@ -1351,11 +1149,10 @@ class SolveService:
                 breakers["datalog"].record_success()
             if attempt:
                 self.stats.requests_rescued += 1
-            return solution, backend
+            return solution
         raise AssertionError("unreachable: the loop returns or raises")
 
     async def _execute(self, request: _Request) -> None:
-        assert self._loop is not None and self._thread_pool is not None
         span = request.span
         if span is not None:
             span.set(
@@ -1367,22 +1164,18 @@ class SolveService:
             delay = faultinject.delay_seconds("service.dispatch.delay")
             if delay > 0.0:
                 await asyncio.sleep(delay)
-            solution, backend = await self._solve_resilient(request)
+            solution = await self._solve_resilient(request)
             latency_ms = (time.perf_counter() - request.enqueued_at) * 1000
-            self.stats.note_completed(
-                solution, latency_ms, backend, route=request.route
-            )
+            self.stats.note_completed(solution, latency_ms, route=request.route)
             if span is not None:
                 span.set(
                     outcome="completed",
-                    backend=backend,
                     strategy=solution.strategy,
                     latency_ms=round(latency_ms, 4),
                 )
             self.recorder.record(
                 "request.completed",
                 seq=request.seq,
-                backend=backend,
                 latency_ms=round(latency_ms, 3),
             )
             if not request.future.done():

@@ -53,20 +53,18 @@ class ServiceStats:
     #: (which counts *waiters* that gave up; their computation may well
     #: have completed for someone else).
     cancelled_solves: int = 0
-    #: Attempts re-run after a transient failure (worker crash, injected
-    #: fault, budget degradation, extended deadline).
+    #: Attempts re-run after a transient failure (injected fault, budget
+    #: degradation, extended deadline).
     retries: int = 0
     #: Requests that ultimately *succeeded* on a retry attempt — traffic
     #: the resilience layer rescued rather than failed.
     requests_rescued: int = 0
-    #: Process-pool rebuilds performed by the supervisor after a crash.
-    worker_restarts: int = 0
     #: Requests served by a degraded route while a breaker was open,
-    #: keyed by breaker name ("process" → thread backend, "kernel" →
-    #: legacy engine, "datalog" → planner search).
+    #: keyed by breaker name ("kernel" → legacy engine, "datalog" →
+    #: planner search).
     degraded: dict[str, int] = field(default_factory=dict)
     #: Circuit-breaker transition counts keyed ``"name:state"`` (e.g.
-    #: ``"process:open"``), plus each breaker's current state below.
+    #: ``"kernel:open"``), plus each breaker's current state below.
     breaker_transitions: dict[str, int] = field(default_factory=dict)
     #: Current breaker states, keyed by breaker name.
     breaker_states: dict[str, str] = field(default_factory=dict)
@@ -82,7 +80,6 @@ class ServiceStats:
     queue_depth: int = 0
     max_queue_depth: int = 0
     thread_solves: int = 0
-    process_solves: int = 0
     solve_cache_hits: int = 0
     solve_cache_misses: int = 0
     #: End-to-end (admission → completion) latency per route; pre-seeded
@@ -112,7 +109,6 @@ class ServiceStats:
         self,
         solution: Solution,
         latency_ms: float,
-        backend: str,
         route: str | None = None,
     ) -> None:
         """Fold one finished solve into the service-wide picture.
@@ -122,10 +118,7 @@ class ServiceStats:
         bucket is the solving strategy's base route.
         """
         self.completed += 1
-        if backend == "process":
-            self.process_solves += 1
-        else:
-            self.thread_solves += 1
+        self.thread_solves += 1
         if solution.stats is not None:
             self.solve_cache_hits += solution.stats.cache_hits
             self.solve_cache_misses += solution.stats.cache_misses
@@ -148,7 +141,6 @@ class ServiceStats:
             "cancelled_solves": self.cancelled_solves,
             "retries": self.retries,
             "requests_rescued": self.requests_rescued,
-            "worker_restarts": self.worker_restarts,
             "degraded": dict(sorted(self.degraded.items())),
             "breaker_transitions": dict(
                 sorted(self.breaker_transitions.items())
@@ -160,7 +152,6 @@ class ServiceStats:
             "queue_depth": self.queue_depth,
             "max_queue_depth": self.max_queue_depth,
             "thread_solves": self.thread_solves,
-            "process_solves": self.process_solves,
             "solve_cache_hits": self.solve_cache_hits,
             "solve_cache_misses": self.solve_cache_misses,
             "latency": self.latency.snapshot(),

@@ -190,10 +190,10 @@ class Structure:
 
         The compiled-kernel memos (``_compiled_source`` /
         ``_compiled_target``) hold the full bitset index of the structure —
-        shipping them to a process-pool worker would multiply the payload
-        for data the worker can rebuild in linear time; they also must not
+        shipping them to another process would multiply the payload for
+        data the receiver can rebuild in linear time; they also must not
         alias across processes.  The greedy tree decomposition memo
-        (``_decomposition``) is dropped for the same reason: workers
+        (``_decomposition``) is dropped for the same reason: receivers
         re-derive it through their own fingerprint-keyed cache.  The
         fingerprint is a small stable string, so it *is* kept: the
         worker's cache lookups reuse it directly.

@@ -127,7 +127,7 @@ def cached_decomposition(structure: Structure) -> TreeDecomposition:
     Cross-object reuse (structurally equal rebuilds) is the job of the
     fingerprint-keyed :class:`repro.core.pipeline.StructureCache`, whose
     ``decomposition`` entry point funnels through here — and the memo is
-    dropped on pickling so process-pool payloads stay lean.
+    dropped on pickling so cross-process payloads stay lean.
     """
     memoized = structure._decomposition
     if memoized is None:

@@ -201,7 +201,7 @@ class TestServiceRouteParity:
             instances.append((seed, source, target, 2))
 
         async def drive():
-            config = ServiceConfig(thread_workers=4, process_workers=0)
+            config = ServiceConfig(thread_workers=4)
             async with SolveService(config) as service:
                 waiters = [
                     service.submit_datalog(source, target, k=k)

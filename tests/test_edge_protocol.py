@@ -6,11 +6,11 @@ Three walls, per ISSUE 10:
   response bytes for every endpoint (and the typed error envelopes),
   pinned as literals.  The edge's responses are deterministic by
   construction (fixed header order, no Date header, sorted-key compact
-  JSON, sorted witnesses, canonical pickles), so any drift in the wire
+  JSON, sorted witnesses), so any drift in the wire
   format fails here first, byte-for-byte.
 * **Fuzzed malformed frames** — truncated bodies, lying lengths,
   oversized payloads, invalid JSON, wrong content types, mangled batch
-  framing — each answered with a *typed* 4xx.
+  arrays, a code-running pickle — each answered with a *typed* 4xx.
 * **The server survives all of it** — after every abuse the same
   connection-or-successor serves a golden request verbatim, and the
   ERROR-level log stays empty (the :class:`LogSentry` asserts the
@@ -90,19 +90,16 @@ DATALOG_RESPONSE = (
 
 BATCH_REQUEST = (
     b"POST /v1/batch HTTP/1.1\r\nhost: t\r\n"
-    b"content-type: application/x-repro-batch\r\ncontent-length: 99\r\n\r\n"
-    b"REB1\x00\x00\x00\x01\x00\x00\x00W\x80\x05\x95L\x00\x00\x00\x00\x00\x00"
-    b"\x00}\x94(\x8c\x02op\x94\x8c\x0bcontainment\x94\x8c\x02q1\x94\x8c\x0e"
-    b"Q(x) :- R(x,y)\x94\x8c\x02q2\x94\x8c\x16Q(x) :- R(x,y), R(y,z)\x94u."
+    b"content-type: application/json\r\ncontent-length: 74\r\n\r\n"
+    b'[{"op":"containment","q1":"Q(x) :- R(x,y)",'
+    b'"q2":"Q(x) :- R(x,y), R(y,z)"}]'
 )
 BATCH_RESPONSE = (
     b"HTTP/1.1 200 OK\r\nserver: repro-edge\r\n"
-    b"content-type: application/x-repro-batch\r\ncontent-length: 140\r\n\r\n"
-    b"REB1\x00\x00\x00\x01\x00\x00\x00\x80\x80\x05\x95u\x00\x00\x00\x00\x00"
-    b"\x00\x00}\x94(\x8c\x07verdict\x94\x89\x8c\x07witness\x94N\x8c\x08"
-    b"strategy\x94\x8c\x1fwidth-planner(route=dp,width=1)\x94\x8c\x05route"
-    b"\x94\x8c\x0bcontainment\x94\x8c\tcoalesced\x94\x89\x8c\x05shard\x94K"
-    b"\x01u."
+    b"content-type: application/json\r\ncontent-length: 129\r\n\r\n"
+    b'[{"coalesced":false,"route":"containment","shard":1,'
+    b'"strategy":"width-planner(route=dp,width=1)","verdict":false,'
+    b'"witness":null}]'
 )
 
 GOLDEN_EXCHANGES = [
@@ -373,13 +370,13 @@ def test_lying_content_length_is_400(edge):
 
 BATCH_HEAD = (
     b"POST /v1/batch HTTP/1.1\r\nhost: t\r\n"
-    b"content-type: application/x-repro-batch\r\n"
+    b"content-type: application/json\r\n"
 )
 
 
-def _batch_request(body: bytes) -> bytes:
+def _batch_request(body: bytes, head: bytes = BATCH_HEAD) -> bytes:
     return (
-        BATCH_HEAD
+        head
         + b"content-length: "
         + str(len(body)).encode()
         + b"\r\n\r\n"
@@ -388,26 +385,59 @@ def _batch_request(body: bytes) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "name,body",
+    "body",
     [
-        ("bad_magic", b"NOPE\x00\x00\x00\x01\x00\x00\x00\x01x"),
-        ("short_header", b"REB1\x00"),
-        ("truncated_count", b"REB1\x00\x00\x00\x05\x00\x00\x00\x02ab"),
-        ("lying_item_length", b"REB1\x00\x00\x00\x01\x00\x00\xff\xffab"),
-        ("unpicklable_item", b"REB1\x00\x00\x00\x01\x00\x00\x00\x03zzz"),
-        (
-            "trailing_bytes",
-            protocol.encode_frames([{"op": "solve"}]) + b"extra",
-        ),
-        ("too_many_items", b"REB1\x7f\xff\xff\xff"),
+        pytest.param(b"", id="empty"),
+        pytest.param(b"REB1\x00\x00\x00\x01\x00\x00\x00\x01x", id="binary"),
+        pytest.param(b'{"op":"solve"}', id="not_an_array"),
+        pytest.param(b'[{"op":"solve"', id="truncated_array"),
+        pytest.param(b"[\xff]", id="bad_utf8"),
+        pytest.param(b"[]extra", id="trailing_bytes"),
+        pytest.param(b"[" + b",".join([b"{}"] * 257) + b"]", id="too_many_items"),
     ],
 )
-def test_fuzz_batch_framing(edge, name, body):
+def test_fuzz_batch_json(edge, body):
     response = edge.raw(_batch_request(body))
-    assert _status(response) == 400, (name, response[:200])
+    assert _status(response) == 400, response[:200]
     assert b'"type":"EdgeProtocolError"' in response
     assert edge.raw(BATCH_REQUEST) == BATCH_RESPONSE
     assert edge.sentry.messages() == []
+
+
+class _SetsSentinel:
+    """Unpickling this runs code: it sets ``builtins._repro_pickled``."""
+
+    def __reduce__(self):
+        return (exec, ("import builtins; builtins._repro_pickled = True",))
+
+
+def test_batch_never_unpickles_socket_bytes(edge):
+    import builtins
+    import pickle
+    import struct
+
+    payload = pickle.dumps(_SetsSentinel())
+    # The retired REB1 framing (magic, u32 count, u32 length, pickle),
+    # under both its old media type and JSON's, plus the bare pickle.
+    framed = b"REB1" + struct.pack("!II", 1, len(payload)) + payload
+    legacy_head = BATCH_HEAD.replace(
+        b"application/json", b"application/x-repro-batch"
+    )
+    for head, body in (
+        (legacy_head, framed),
+        (BATCH_HEAD, framed),
+        (BATCH_HEAD, payload),
+    ):
+        response = edge.raw(_batch_request(body, head))
+        assert 400 <= _status(response) < 500, response[:200]
+        assert b'"type":"EdgeProtocolError"' in response
+    assert not hasattr(builtins, "_repro_pickled")
+    # The payload is live: unpickling it here does set the sentinel.
+    try:
+        pickle.loads(payload)
+        assert builtins._repro_pickled is True
+    finally:
+        builtins.__dict__.pop("_repro_pickled", None)
 
 
 def test_batch_item_errors_are_isolated(edge):
@@ -417,19 +447,17 @@ def test_batch_item_errors_are_isolated(edge):
         "q1": "Q(x) :- R(x,y)",
         "q2": "Q(x) :- R(x,y), R(y,z)",
     }
-    body = protocol.encode_frames([good, {"op": "bogus"}, 42, good])
+    body = protocol.dumps(
+        [good, {"op": "bogus"}, 42, {"op": "solve", "source": 3}, good]
+    )
     response = edge.raw(_batch_request(body))
     assert _status(response) == 200
-    items = protocol.decode_frames(
-        response.partition(b"\r\n\r\n")[2],
-        max_items=16,
-        max_item_bytes=1 << 20,
-    )
+    items = json.loads(response.partition(b"\r\n\r\n")[2])
     assert items[0]["verdict"] is False
-    assert items[1]["error"]["type"] == "EdgeProtocolError"
-    assert items[1]["error"]["status"] == 400
-    assert items[2]["error"]["type"] == "EdgeProtocolError"
-    assert items[3]["verdict"] is False
+    for rotten in items[1:4]:
+        assert rotten["error"]["type"] == "EdgeProtocolError"
+        assert rotten["error"]["status"] == 400
+    assert items[4]["verdict"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from repro.exceptions import (
     ParseError,
     ReproError,
     ResourceBudgetError,
+    ServiceClosedError,
     ServiceError,
+    ServiceOverloadedError,
+    ShardCrashedError,
     SolveTimeoutError,
     VocabularyError,
-    WorkerCrashedError,
 )
 
 
@@ -31,7 +33,6 @@ class TestHierarchy:
             ResourceBudgetError,
             FaultInjectedError,
             SolveTimeoutError,
-            WorkerCrashedError,
         ],
     )
     def test_all_derive_from_repro_error(self, exception):
@@ -40,7 +41,13 @@ class TestHierarchy:
             raise exception("boom")
 
     @pytest.mark.parametrize(
-        "exception", [SolveTimeoutError, WorkerCrashedError]
+        "exception",
+        [
+            SolveTimeoutError,
+            ServiceClosedError,
+            ServiceOverloadedError,
+            ShardCrashedError,
+        ],
     )
     def test_service_side_errors_are_service_errors(self, exception):
         # A service client catching ServiceError sees every way the

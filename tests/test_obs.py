@@ -3,10 +3,9 @@
 Covers the :mod:`repro.obs` package in isolation (span trees, registry
 exposition, the flight recorder, the calibration log) and its wiring
 through the stack: per-solve kernel counters on ``SolveStats.kernel``,
-the ``repro`` logger hierarchy, and — the acceptance criterion — a
-process-pool-backed service solve yielding *one* trace whose spans cover
-the service dispatch and the in-worker kernel phases under the same
-trace id.
+the ``repro`` logger hierarchy, and a service solve yielding *one*
+trace whose spans cover the service dispatch and the kernel phases under
+the same trace id.
 """
 
 from __future__ import annotations
@@ -407,44 +406,9 @@ def _trace_ids(trace):
 
 
 class TestServiceTracing:
-    def test_process_solve_is_one_trace_across_the_pool(self):
-        """The acceptance criterion: a process-pool-backed submit yields
-        a single trace covering service dispatch AND in-worker kernel
-        phases, same trace id on both sides of the pickle."""
-        config = ServiceConfig(
-            thread_workers=1,
-            process_workers=1,
-            process_cost_threshold=0.0,
-            trace=True,
-        )
-
-        async def scenario():
-            async with SolveService(config) as service:
-                await service.submit(*_graph_instance())
-            return service
-
-        service = asyncio.run(scenario())
-        trace = service.trace_log.find(
-            service.trace_log.last()["trace_id"]
-        )
-        assert trace["name"] == "request"
-        assert len(_trace_ids(trace)) == 1, "one trace id end to end"
-        names = _span_names(trace)
-        assert "service.plan" in names
-        assert "backend.process" in names
-        assert "worker.solve" in names
-        assert "pipeline.solve" in names
-        assert any(name.startswith("strategy:") for name in names)
-        assert any(name.startswith("kernel.") for name in names)
-        assert trace["attributes"]["backend"] == "process"
-        assert trace["attributes"]["outcome"] == "completed"
-        counts = service.recorder.counts()
-        assert counts.get("request.admitted") == 1
-        assert counts.get("request.completed") == 1
-
     def test_thread_solve_traces_without_processes(self):
         config = ServiceConfig(
-            thread_workers=1, process_workers=0, trace=True
+            thread_workers=1, trace=True
         )
 
         async def scenario():
@@ -461,7 +425,7 @@ class TestServiceTracing:
 
     def test_coalesced_follower_links_to_the_leader_trace(self):
         config = ServiceConfig(
-            thread_workers=1, process_workers=0, trace=True
+            thread_workers=1, trace=True
         )
 
         async def scenario():
@@ -489,7 +453,7 @@ class TestServiceTracing:
 
     def test_tracing_off_leaves_no_spans(self):
         config = ServiceConfig(
-            thread_workers=1, process_workers=0, trace=False
+            thread_workers=1, trace=False
         )
 
         async def scenario():
@@ -507,7 +471,7 @@ class TestServiceTracing:
         assert ServiceConfig().trace is False
 
     def test_service_exposition_parses_with_service_families(self):
-        config = ServiceConfig(thread_workers=1, process_workers=0)
+        config = ServiceConfig(thread_workers=1)
 
         async def scenario():
             async with SolveService(config) as service:

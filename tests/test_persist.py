@@ -115,7 +115,7 @@ class TestFormat:
 
 class TestCodec:
     def test_store_bytes_are_pool_bytes(self):
-        """The store persists exactly what the process pool pickles."""
+        """The store persists exactly the artifact's own pickle."""
         _, target = fresh_pair()
         compiled = compile_target(target)
         assert encode_artifact("ctarget", compiled) == pickle.dumps(

@@ -31,7 +31,6 @@ from repro import faultinject
 from repro.core.pipeline import SolverPipeline, StructureCache
 from repro.csp.generators import random_schaefer_target, random_structure
 from repro.exceptions import ServiceClosedError, SolveTimeoutError
-from repro.faultinject import FaultPlan
 from repro.persist import ArtifactStore
 from repro.persist import format as sformat
 from repro.service import ServiceConfig, SolveService
@@ -254,7 +253,7 @@ class TestWarmRestart:
         corpus = _corpus(6)
         expected = _expected(corpus)
         store_dir = tmp_path / "store"
-        config = ServiceConfig(process_workers=0, store_path=str(store_dir))
+        config = ServiceConfig(store_path=str(store_dir))
 
         async def generation_one():
             async with SolveService(config) as service:
@@ -288,49 +287,13 @@ class TestWarmRestart:
         corpus = _corpus(6)
         asyncio.run(asyncio.wait_for(generation_two(), CHAOS_TIMEOUT))
 
-    def test_respawned_workers_reopen_the_store(self, tmp_path):
-        """Workers killed mid-storm respawn against the same store and
-        keep answering correctly (the worker side opens read-only)."""
-        corpus = _corpus(6)
-        expected = _expected(corpus)
-        store_dir = tmp_path / "store"
-        _populate(store_dir, corpus)
-        plan = FaultPlan(FIXED_SEEDS[0], {"worker.kill.before": 0.2})
-        config = ServiceConfig(
-            thread_workers=2,
-            process_workers=2,
-            process_cost_threshold=0.0,
-            retry_budget=3,
-            store_path=str(store_dir),
-        )
-
-        async def scenario():
-            async with SolveService(config) as service:
-                waiters = [
-                    service.submit(source, target)
-                    for source, target in corpus * 2
-                ]
-                results = await asyncio.gather(
-                    *waiters, return_exceptions=True
-                )
-                for index, result in enumerate(results):
-                    if isinstance(result, BaseException):
-                        continue  # typed failure paths are test_chaos's job
-                    assert result.exists == expected[index % len(corpus)]
-
-        faultinject.install(plan, env=True)
-        try:
-            asyncio.run(asyncio.wait_for(scenario(), CHAOS_TIMEOUT))
-        finally:
-            faultinject.uninstall()
-
     def test_locked_store_degrades_to_storeless_service(self, tmp_path):
         """A second service against a locked store runs store-less."""
         store_dir = tmp_path / "store"
         holder = ArtifactStore(store_dir)
         corpus = _corpus(3)
         expected = _expected(corpus)
-        config = ServiceConfig(process_workers=0, store_path=str(store_dir))
+        config = ServiceConfig(store_path=str(store_dir))
 
         async def scenario():
             async with SolveService(config) as service:
@@ -355,7 +318,7 @@ class TestDrain:
         corpus = _corpus(4)
         expected = _expected(corpus)
         store_dir = tmp_path / "store"
-        config = ServiceConfig(process_workers=0, store_path=str(store_dir))
+        config = ServiceConfig(store_path=str(store_dir))
 
         async def scenario():
             service = SolveService(config)
@@ -384,7 +347,7 @@ class TestDrain:
     def test_drain_deadline_cancels_stragglers(self, tmp_path):
         """A solve slower than the grace period is cut cooperatively."""
         store_dir = tmp_path / "store"
-        config = ServiceConfig(process_workers=0, store_path=str(store_dir))
+        config = ServiceConfig(store_path=str(store_dir))
         source, target = clique(7), random_graph(26, 0.55, seed=2)
 
         async def scenario():
@@ -406,7 +369,7 @@ class TestDrain:
 
     def test_drain_idempotent_and_stopless(self):
         async def scenario():
-            service = SolveService(ServiceConfig(process_workers=0))
+            service = SolveService(ServiceConfig())
             await service.start()
             assert await service.drain(timeout=1.0)
             assert await service.drain(timeout=1.0)  # second call no-ops

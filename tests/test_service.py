@@ -14,15 +14,15 @@ from repro.exceptions import (
 )
 from repro.csp.generators import random_schaefer_target, random_structure
 from repro.service import Priority, ServiceConfig, SolveService
-from repro.structures.graphs import clique, random_graph
+from repro.structures.graphs import clique, cycle, random_graph
 from repro.structures.homomorphism import is_homomorphism
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
 
 BINARY = Vocabulary.from_arities({"R": 2})
 
-#: Thread-only config: fast startup, deterministic backend.
-THREADS_ONLY = ServiceConfig(thread_workers=2, process_workers=0)
+#: Two worker threads: fast startup, small scheduling surface.
+THREADS_ONLY = ServiceConfig(thread_workers=2)
 
 
 def cheap_instance(seed: int = 0):
@@ -173,7 +173,7 @@ class TestTimeouts:
 class TestAdmissionControl:
     def test_overload_rejects_synchronously(self):
         config = ServiceConfig(
-            thread_workers=1, process_workers=0, max_pending=2
+            thread_workers=1, max_pending=2
         )
 
         async def scenario():
@@ -193,7 +193,7 @@ class TestAdmissionControl:
 
     def test_submit_many_applies_backpressure_instead(self):
         config = ServiceConfig(
-            thread_workers=2, process_workers=0, max_pending=3
+            thread_workers=2, max_pending=3
         )
         pairs = [cheap_instance(seed) for seed in range(12)]
 
@@ -210,7 +210,7 @@ class TestAdmissionControl:
 class TestPriorities:
     def test_high_priority_dispatches_before_low(self):
         config = ServiceConfig(
-            thread_workers=1, process_workers=0, max_pending=64
+            thread_workers=1, max_pending=64
         )
 
         async def scenario():
@@ -241,7 +241,7 @@ class TestPriorities:
 class TestPriorityBump:
     def test_high_priority_duplicate_lifts_queued_original(self):
         config = ServiceConfig(
-            thread_workers=1, process_workers=0, max_pending=64
+            thread_workers=1, max_pending=64
         )
 
         async def scenario():
@@ -280,7 +280,7 @@ class TestPriorityBump:
 class TestStopSemantics:
     def test_stop_without_drain_wakes_backpressured_submitters(self):
         config = ServiceConfig(
-            thread_workers=1, process_workers=0, max_pending=1
+            thread_workers=1, max_pending=1
         )
 
         async def scenario():
@@ -305,27 +305,66 @@ class TestStopSemantics:
         asyncio.run(scenario())
 
 
-class TestProcessBackend:
-    def test_requests_route_to_process_pool_by_cost(self):
+class TestThreadOnly:
+    def test_process_workers_other_than_zero_is_refused(self):
+        # The service runs no process pool; multi-core goes through the
+        # edge's ShardRouter, which the error names.
+        with pytest.raises(ValueError, match="ShardRouter"):
+            ServiceConfig(process_workers=1)
+        assert ServiceConfig().process_workers == 0
+
+    def test_plans_each_request_once(self, monkeypatch):
+        """The service adds no planning of its own: a shard-configured
+        service makes exactly as many ``plan_instance`` calls as direct
+        ``solve(plan=True)`` calls on the same fresh instances."""
+        import sys
+
+        from _workloads import mixed_service_workload
+
+        from repro.core.pipeline import SolverPipeline
+        from repro.kernel import estimate
+
+        def corpus():
+            # Fresh structures per run: compile memos live on them.
+            instances = [
+                (source, target)
+                for _label, source, target in mixed_service_workload(
+                    seed=3, variants=1, clique_sizes=(3, 4)
+                )
+            ]
+            instances += [(cycle(n), clique(3)) for n in range(6, 14)]
+            return instances
+
+        original = estimate.plan_instance
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # Patch every module that imported the function by name.
+        for module in list(sys.modules.values()):
+            if getattr(module, "plan_instance", None) is original:
+                monkeypatch.setattr(module, "plan_instance", counting)
+
+        pipeline = SolverPipeline()
+        for source, target in corpus():
+            pipeline.solve(source, target, plan=True)
+        direct = len(calls)
+        assert direct > 0
+
         config = ServiceConfig(
-            thread_workers=2,
-            process_workers=1,
-            # Everything is "expensive": force the process path.
-            process_cost_threshold=0.0,
+            plan=True, thread_workers=2, max_pending=256, retry_budget=2
         )
 
         async def scenario():
             async with SolveService(config) as service:
-                source, target = cheap_instance()
-                solution = await service.submit(source, target)
-                assert service.stats.process_solves == 1
-                assert service.stats.thread_solves == 0
-                direct = service.pipeline.solve(source, target)
-                assert solution.exists == direct.exists
-                assert solution.homomorphism == direct.homomorphism
-                assert solution.strategy == direct.strategy
+                for source, target in corpus():
+                    await service.submit(source, target)
 
+        calls.clear()
         asyncio.run(scenario())
+        assert len(calls) == direct
 
 
 class TestStats:

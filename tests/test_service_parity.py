@@ -2,7 +2,7 @@
 
 The P3 acceptance suite: the mixed serving workload (every route of the
 pipeline, seeded) is answered once through the concurrent service —
-coalescing, backend routing, process hop and all — and once by direct
+admission, coalescing, worker threads and all — and once by direct
 ``SolverPipeline.solve`` calls; the answers must agree instance by
 instance, down to the assignment and the winning strategy.
 """
@@ -27,7 +27,7 @@ def test_service_matches_direct_solve_on_mixed_workload():
     )
     assert len(instances) >= 100
 
-    config = ServiceConfig(thread_workers=4, process_workers=1)
+    config = ServiceConfig(thread_workers=4)
 
     async def drive():
         async with SolveService(config) as service:
