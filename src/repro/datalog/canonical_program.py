@@ -28,10 +28,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Hashable
 
-from repro import faultinject
 from repro.cq.query import Atom
 from repro.datalog.program import DatalogProgram, Rule
-from repro.exceptions import ResourceBudgetError
 from repro.kernel.compile import CompiledTarget, compile_target
 from repro.kernel.engine import KERNEL, resolve_engine
 from repro.structures.structure import Structure
@@ -171,13 +169,6 @@ def canonical_refutes(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if faultinject.fires("datalogk.budget"):
-        # The chaos harness models a binding-space budget breach in the
-        # canonical-Datalog decision (the real guard lives in
-        # repro.kernel.datalogk, which a materialized ρ_B would hit).
-        raise ResourceBudgetError(
-            "injected binding-space budget breach (datalogk.budget)"
-        )
     ctarget = compile_target(target)
     if not ctarget.values:
         raise ValueError("canonical program needs a non-empty target")

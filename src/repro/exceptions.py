@@ -51,10 +51,10 @@ class ResourceBudgetError(ReproError):
 
     Raised by the kernel's table-building engines (the ``n^v`` binding
     spaces of :mod:`repro.kernel.datalogk`, the bag tables of
-    :mod:`repro.kernel.decomp`) *before* the allocation happens, so a
-    planner or serving layer can degrade to a semantically equivalent
-    route (search) instead of letting a shard process OOM.  Never
-    retryable as-is: the same request hits the same bound.
+    :mod:`repro.kernel.decomp`) *before* the allocation happens, so the
+    caller can take a semantically equivalent route (the treewidth and
+    planner dp routes fall back to search) instead of letting a shard
+    process OOM.  Never retried: the same request hits the same bound.
     """
 
 
@@ -62,8 +62,8 @@ class FaultInjectedError(ReproError):
     """A deterministic fault-injection point fired (:mod:`repro.faultinject`).
 
     Only ever raised when a fault plan is installed — production traffic
-    cannot see it.  The service treats it like any transient kernel
-    failure: retryable, counted against the kernel circuit breaker.
+    cannot see it.  The service treats it like any other exception from
+    inside a solve: no retry, the waiters get this typed error.
     """
 
 

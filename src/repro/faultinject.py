@@ -1,14 +1,15 @@
-"""Deterministic fault injection for the resilience chaos suite.
+"""Deterministic fault injection for the chaos suite.
 
-The resilience layer (retries, breakers, deadline propagation) is only
+The service's failure contract (every request ends in a parity-correct
+answer or a typed error; deadlines propagate into the kernels) is only
 trustworthy if its failure paths are *exercised*, and real failures — a
-kernel bug, a slow disk, a table that will not fit — do not show up on
-demand.  This module plants named injection points on the hot paths and
-drives them from a seeded plan, so ``tests/test_chaos.py`` can replay
-the exact same storm of kernel exceptions, delays, and budget breaches
-on every run of a given seed.  (Process deaths are not injected here:
-the edge chaos suite, ``tests/test_edge_chaos.py``, SIGKILLs real shard
-processes instead.)
+kernel bug, a slow dispatch, a table that will not fit — do not show up
+on demand.  This module plants named injection points on the hot paths
+and drives them from a seeded plan, so ``tests/test_chaos.py`` can
+replay the exact same storm of kernel exceptions, delays, and budget
+breaches on every run of a given seed.  (Process deaths are not
+injected here: the edge chaos suite, ``tests/test_edge_chaos.py``,
+SIGKILLs real shard processes instead.)
 
 Design constraints, in order:
 
@@ -30,8 +31,6 @@ The planted points:
 ``service.dispatch.delay``            sleep before executing a request
 ``kernel.compile.raise``              :class:`FaultInjectedError` from
                                       ``compile_target``
-``datalogk.budget``                   forced :class:`ResourceBudgetError`
-                                      at the binding-space guard
 ``decomp.budget``                     forced :class:`ResourceBudgetError`
                                       at the bag-table guard
 ====================================  =======================================

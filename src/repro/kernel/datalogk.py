@@ -42,7 +42,6 @@ import os
 from itertools import product
 from typing import TYPE_CHECKING, Hashable
 
-from repro import faultinject
 from repro.core.cancellation import current_token
 from repro.exceptions import DatalogError, ResourceBudgetError
 from repro.kernel.compile import compile_target
@@ -66,8 +65,8 @@ __all__ = [
 #: cells (bits).  A rule with ``v`` distinct body variables evaluates
 #: over ``n^v`` codes; past ~2^28 the digit-mask ints alone reach
 #: hundreds of megabytes and a single AND stalls the worker for longer
-#: than any reasonable deadline.  The planner treats the resulting
-#: :class:`ResourceBudgetError` as "route this instance to search".
+#: than any reasonable deadline.  The caller gets a typed
+#: :class:`ResourceBudgetError` instead of an out-of-memory worker.
 MAX_TABLE_CELLS = int(os.environ.get("REPRO_MAX_TABLE_CELLS", 1 << 28))
 
 Element = Hashable
@@ -510,15 +509,6 @@ def _seed(
         facts.setdefault(predicate, 0)
     for predicate in program.edb_predicates:
         facts.setdefault(predicate, 0)
-    if faultinject.fires("datalogk.budget"):
-        _budget_log.warning(
-            "injected datalog budget breach",
-            extra={"event": "budget.trip", "engine": "datalog",
-                   "injected": True},
-        )
-        raise ResourceBudgetError(
-            "injected binding-space budget breach (datalogk.budget)"
-        )
     return compile_datalog(program, n), facts
 
 

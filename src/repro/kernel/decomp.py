@@ -69,8 +69,8 @@ _budget_log = get_logger("kernel")
 
 #: Worst-case bag-table budget (codes per table, the Theorem 5.4 bound
 #: ``m^{w+1}``).  The DP refuses up front — with a typed
-#: :class:`ResourceBudgetError` the planner and the service's breaker
-#: can degrade on — rather than letting an adversarial (width, target)
+#: :class:`ResourceBudgetError` the treewidth and planner routes degrade
+#: to search on — rather than letting an adversarial (width, target)
 #: pair OOM a worker mid-solve.  Deliberately generous: real tables are
 #: the semijoin-reduced fraction of the bound.
 MAX_TABLE_CELLS = int(os.environ.get("REPRO_MAX_TABLE_CELLS", 1 << 28))

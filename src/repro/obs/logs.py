@@ -5,12 +5,12 @@ Library logging etiquette: the package root logger gets a
 spams the host application's logging; anything that wants the messages
 attaches its own handler to ``"repro"`` (or a subsystem child).
 
-Subsystems log through :func:`get_logger` children —
-``repro.service``, ``repro.supervision``, ``repro.resilience``,
-``repro.kernel`` — at WARNING for operational anomalies (worker
-respawns, breaker transitions, budget trips) with machine-readable
-context in ``extra`` fields (``event``, plus event-specific keys) so a
-structured formatter can do better than parsing message strings.
+Subsystems log through children of ``"repro"`` — ``repro.service``,
+``repro.persist``, ``repro.edge.*``, ``repro.kernel`` — at WARNING for
+operational anomalies (shard respawns, budget trips, an unavailable
+artifact store) with machine-readable context in ``extra`` fields
+(``event``, plus event-specific keys) so a structured formatter can do
+better than parsing message strings.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Two registration styles coexist:
 * **Collectors** — callables registered with
   :meth:`MetricsRegistry.register_collector` that *derive* samples at
   scrape time from pre-existing stat bags (:class:`ServiceStats`,
-  :class:`CacheTally`, breaker states, the fault-injection plan).  This
+  :class:`CacheTally`, the fault-injection plan).  This
   is how the existing APIs join the registry without changing shape.
 
 Exposition is Prometheus text format (``exposition()``) or a JSON

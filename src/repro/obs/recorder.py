@@ -1,17 +1,16 @@
 """Flight recorder: a bounded ring buffer of lifecycle events.
 
-Black-box style: the service (and the resilience layer under it) calls
-:meth:`FlightRecorder.record` at every interesting transition — request
-admitted / completed / failed, retry scheduled, breaker flipped, worker
-crashed, budget tripped — and the recorder keeps the most recent
-``capacity`` events with a global sequence number and a monotonic
-timestamp.  Nothing is formatted until someone asks (:meth:`dump` /
-:meth:`to_json`), so the recording path is one lock and one ``dict``.
+Black-box style: the service calls :meth:`FlightRecorder.record` at
+every interesting transition — request admitted / coalesced / completed
+/ failed / timed out, retry scheduled, store warmed, service drained —
+and the recorder keeps the most recent ``capacity`` events with a
+global sequence number and a monotonic timestamp.  Nothing is
+formatted until someone asks (:meth:`dump` / :meth:`to_json`), so the
+recording path is one lock and one ``dict``.
 
-The chaos suite asserts against the recorder: every injected worker
-crash and every breaker transition observed by :class:`ServiceStats`
-must have a matching event, which is how we know the black box would
-actually explain a real incident.
+The chaos suite asserts against the recorder: every retry counted by
+:class:`ServiceStats` must have a matching event, which is how we know
+the black box would actually explain a real incident.
 """
 
 from __future__ import annotations

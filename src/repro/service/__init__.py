@@ -19,9 +19,9 @@ the :mod:`repro.core.pipeline`:
 * :class:`ServiceStats` (:mod:`repro.service.stats`) — queue depth,
   coalesce hits, per-route latency histograms, aggregated per-solve
   :class:`~repro.core.pipeline.SolveStats`;
-* resilience (:mod:`repro.service.resilience`) — deadline propagation
-  into the kernel loops, retry budgets, and circuit breakers that
-  degrade failing routes to semantically equivalent fallbacks;
+* one failure path — deadlines propagate into the kernel loops, and a
+  failed solve reaches its waiters as a typed error (the one retry is a
+  timed-out solve whose deadline a coalesced waiter extended);
   chaos-tested against the deterministic fault harness
   (:mod:`repro.faultinject`).
 
@@ -39,13 +39,10 @@ from repro.exceptions import (
     SolveTimeoutError,
 )
 from repro.service.cache import ShardedStructureCache
-from repro.service.resilience import BreakerState, CircuitBreaker
 from repro.service.service import Priority, ServiceConfig, SolveService
 from repro.service.stats import LatencyHistogram, ServiceStats
 
 __all__ = [
-    "BreakerState",
-    "CircuitBreaker",
     "FaultInjectedError",
     "LatencyHistogram",
     "Priority",

@@ -37,14 +37,12 @@ databases.  :class:`SolveService` is that serving layer:
   and — with ``ServiceConfig.trace`` on — ``service.trace_log``, holding
   one end-to-end span tree per finished request, kernel phases
   included.
-* **Resilience** — each request carries a deadline that propagates into
+* **Failure** — each request carries a deadline that propagates into
   the kernel hot loops (:mod:`repro.core.cancellation`), so a timed-out
-  solve stops consuming its worker; transient failures retry within a
-  per-request budget; and per-route circuit breakers
-  (:mod:`repro.service.resilience`) degrade a repeatedly failing route
-  to its semantically equivalent fallback — compiled kernel → legacy
-  engine, canonical Datalog → planner search — so answers stay exact
-  under faults.
+  solve stops consuming its worker.  A failed solve has one outcome:
+  its exception reaches every waiter as a typed error.  The one retry
+  is a cooperative timeout whose shared deadline a more patient
+  coalesced waiter has since extended.
 
 Typical use::
 
@@ -83,7 +81,6 @@ from repro.core.pipeline import (
 )
 from repro.core.strategies import CONTAINMENT_ROUTE, DATALOG_ROUTE
 from repro.exceptions import (
-    ResourceBudgetError,
     ServiceClosedError,
     ServiceOverloadedError,
     SolveTimeoutError,
@@ -94,10 +91,8 @@ from repro.obs.metrics import Counter, Gauge, default_registry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Span, TraceLog, child_scope
 from repro.service.cache import ShardedStructureCache
-from repro.service.resilience import CircuitBreaker, FailureKind, classify
 from repro.service.stats import ServiceStats
 from repro.structures.fingerprint import instance_fingerprint
-from repro.structures.homomorphism import find_homomorphism
 from repro.structures.structure import Structure
 
 __all__ = ["Priority", "ServiceConfig", "SolveService"]
@@ -126,10 +121,6 @@ def _env_store_max_bytes_default() -> int | None:
         return int(value)
     except ValueError:
         return None
-
-
-#: Breaker states as gauge values (exposition can't carry enums).
-_BREAKER_STATE_VALUE = {"closed": 0, "half_open": 1, "open": 2}
 
 
 class Priority(IntEnum):
@@ -161,13 +152,10 @@ class ServiceConfig:
     the solving engine per request (and consider the pebble route), with
     the decision visible in each ``Solution.stats.plan``.
 
-    The resilience knobs: ``retry_budget`` is the number of *additional*
-    attempts a request gets after a transient failure (injected fault,
-    budget degradation), always within the request's remaining deadline.
-    ``breaker_threshold`` consecutive failures of a degradable route
-    (kernel compile, canonical Datalog) open that route's circuit
-    breaker; after ``breaker_cooldown`` seconds one probe request tests
-    the route again.
+    ``retry_budget`` bounds how many more times a solve is re-run after
+    it timed out cooperatively while a more patient coalesced waiter
+    extended the shared deadline; every other failure reaches the
+    waiters at once.
 
     ``trace=True`` opens a root span per admitted request and threads it
     through every layer the request crosses — queue, retry loop, thread
@@ -200,8 +188,6 @@ class ServiceConfig:
     try_pebble_refutation: int | None = None
     plan: bool = False
     retry_budget: int = 2
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 1.0
     trace: bool = field(default_factory=_env_trace_default)
     store_path: str | None = field(default_factory=_env_store_default)
     store_max_bytes: int | None = field(
@@ -285,26 +271,13 @@ class SolveService:
         self.stats = ServiceStats()
         #: Finished request traces (bounded; populated with tracing on).
         self.trace_log = TraceLog()
-        #: Lifecycle flight recorder: admissions, retries, breaker
-        #: transitions — dumped when debugging an incident, asserted
-        #: against in the chaos suite.
+        #: Lifecycle flight recorder: admissions, completions, failures,
+        #: retries — dumped when debugging an incident, asserted against
+        #: in the chaos suite.
         self.recorder = FlightRecorder()
         #: The registry this service's scrape-time collector reports
         #: into (the process-wide default, shared with kernel counters).
         self.metrics = default_registry()
-        #: One circuit breaker per degradable route.  While a breaker is
-        #: open the route is served by its semantically equivalent
-        #: fallback: "kernel" → the legacy engine, "datalog" → the
-        #: planner's search route.
-        self.breakers: dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(
-                name,
-                threshold=self._config.breaker_threshold,
-                cooldown=self._config.breaker_cooldown,
-                on_transition=self._note_breaker_transition,
-            )
-            for name in ("kernel", "datalog")
-        }
         #: The persistent artifact store (opened by :meth:`start` when
         #: the config names a path; ``None`` while stopped, after a
         #: failed open, or with persistence off).
@@ -960,12 +933,6 @@ class SolveService:
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
 
-    def _note_breaker_transition(self, name: str, state) -> None:
-        self.stats.note_breaker_transition(name, state.value)
-        self.recorder.record(
-            "breaker.transition", breaker=name, state=state.value
-        )
-
     # -- telemetry -----------------------------------------------------------
 
     def exposition(self) -> str:
@@ -975,9 +942,9 @@ class SolveService:
     def _metrics_collector(self):
         """Scrape-time registry view of the service's stat bags.
 
-        Derives throwaway instruments from :class:`ServiceStats`, the
-        breakers, and the latency histograms, so those APIs keep their
-        shape while still showing up in one exposition.
+        Derives throwaway instruments from :class:`ServiceStats` and its
+        latency histograms, so those APIs keep their shape while still
+        showing up in one exposition.
         """
         stats = self.stats
         requests = Counter(
@@ -1002,12 +969,6 @@ class SolveService:
             "Requests admitted but not yet dispatched.",
         )
         queue.set(stats.queue_depth)
-        backends = Counter(
-            "repro_service_solves_total",
-            "Completed solves by executing backend.",
-            ("backend",),
-        )
-        backends.inc(stats.thread_solves, backend="thread")
         cache = Counter(
             "repro_service_cache_events_total",
             "Structure-cache traffic folded from per-solve stats.",
@@ -1015,23 +976,6 @@ class SolveService:
         )
         cache.inc(stats.solve_cache_hits, event="hit")
         cache.inc(stats.solve_cache_misses, event="miss")
-        breaker_state = Gauge(
-            "repro_service_breaker_state",
-            "Circuit-breaker state (0 closed, 1 half-open, 2 open).",
-            ("breaker",),
-        )
-        for name, breaker in self.breakers.items():
-            breaker_state.set(
-                _BREAKER_STATE_VALUE[breaker.state.value], breaker=name
-            )
-        transitions = Counter(
-            "repro_service_breaker_transitions_total",
-            "Circuit-breaker transitions by breaker and state entered.",
-            ("breaker", "state"),
-        )
-        for key, value in stats.breaker_transitions.items():
-            name, _, state = key.partition(":")
-            transitions.inc(value, breaker=name, state=state)
         latency = Gauge(
             "repro_service_latency_ms",
             "End-to-end latency percentiles per route (milliseconds).",
@@ -1044,17 +988,9 @@ class SolveService:
             latency.set(p50, route=route, quantile="0.5")
             latency.set(p95, route=route, quantile="0.95")
             latency.set(p99, route=route, quantile="0.99")
-        return (
-            requests,
-            queue,
-            backends,
-            cache,
-            breaker_state,
-            transitions,
-            latency,
-        )
+        return requests, queue, cache, latency
 
-    def _thread_solve(self, request: _Request, options: dict) -> Solution:
+    def _thread_solve(self, request: _Request) -> Solution:
         """Runs on a worker thread: one pipeline solve of the request.
 
         Runs under the request's cancellation scope, so an
@@ -1065,39 +1001,18 @@ class SolveService:
             request.token.check()
             with child_scope(request.span, "backend.thread"):
                 return self.pipeline.solve(
-                    request.source, request.target, **options
+                    request.source, request.target, **request.options
                 )
 
-    def _legacy_solve(self, request: _Request) -> Solution:
-        """Runs on a worker thread: the kernel-breaker fallback.
-
-        The legacy reference engine decides the same instance without
-        touching the compiled-kernel plane at all (no ``compile_target``,
-        no bitsets), so it keeps answering — exactly, just slower — while
-        the kernel breaker is open.
-        """
-        with cancel_scope(request.token), child_scope(
-            request.span, "backend.legacy", degraded="kernel-breaker"
-        ):
-            assignment = find_homomorphism(
-                request.source, request.target, engine="legacy"
-            )
-        return Solution(assignment, "legacy-engine(kernel-breaker)")
-
     async def _solve_resilient(self, request: _Request) -> Solution:
-        """Drive attempts until success, permanent failure, or budgets end.
+        """Run the request's solve; re-run only a rescued timeout.
 
-        The retry policy in one place: transient failures (an injected
-        fault) retry as-is; a budget breach retries with the
-        canonical-Datalog ask stripped (the planner then routes to
-        search — semantically identical); a cooperative timeout retries
-        only if the deadline was extended by a more patient coalesced
-        waiter; anything else is permanent.  Every retry is bounded by
-        ``retry_budget`` and by the request's remaining deadline.
+        Any exception reaches the waiters as it is, with one exception:
+        a cooperative timeout whose shared deadline has since been
+        extended by a more patient coalesced waiter is re-run, at most
+        ``retry_budget`` more times.
         """
         assert self._loop is not None and self._thread_pool is not None
-        breakers = self.breakers
-        options = request.options
         attempts = max(1, self._config.retry_budget + 1)
         for attempt in range(attempts):
             if attempt:
@@ -1105,48 +1020,14 @@ class SolveService:
                 self.recorder.record(
                     "request.retry", seq=request.seq, attempt=attempt
                 )
-            attempt_options = options
-            if (
-                options.get("try_canonical_datalog") is not None
-                and not breakers["datalog"].allow()
-            ):
-                attempt_options = dict(options, try_canonical_datalog=None)
-                self.stats.note_degraded("datalog")
-            use_legacy = not breakers["kernel"].allow()
-            if use_legacy:
-                self.stats.note_degraded("kernel")
-            call = (
-                (self._legacy_solve, request)
-                if use_legacy
-                else (self._thread_solve, request, attempt_options)
-            )
             try:
                 solution = await self._loop.run_in_executor(
-                    self._thread_pool, *call
+                    self._thread_pool, self._thread_solve, request
                 )
-            except Exception as exc:  # noqa: BLE001 — classified below
-                kind, breaker_name = classify(exc)
-                if isinstance(exc, ResourceBudgetError):
-                    self.recorder.record(
-                        "budget.trip", seq=request.seq, error=str(exc)
-                    )
-                if breaker_name is not None:
-                    breakers[breaker_name].record_failure()
-                if kind is FailureKind.PERMANENT:
-                    raise
-                if kind is FailureKind.DEGRADE_DATALOG:
-                    if options.get("try_canonical_datalog") is None:
-                        # A budget breach outside the degradable route
-                        # would reproduce identically: final.
-                        raise
-                    options = dict(options, try_canonical_datalog=None)
+            except SolveTimeoutError:
                 if attempt + 1 >= attempts or request.token.expired():
                     raise
                 continue
-            if not use_legacy:
-                breakers["kernel"].record_success()
-            if attempt_options.get("try_canonical_datalog") is not None:
-                breakers["datalog"].record_success()
             if attempt:
                 self.stats.requests_rescued += 1
             return solution

@@ -53,21 +53,11 @@ class ServiceStats:
     #: (which counts *waiters* that gave up; their computation may well
     #: have completed for someone else).
     cancelled_solves: int = 0
-    #: Attempts re-run after a transient failure (injected fault, budget
-    #: degradation, extended deadline).
+    #: Solves re-run after a cooperative timeout whose shared deadline a
+    #: more patient coalesced waiter had extended.
     retries: int = 0
-    #: Requests that ultimately *succeeded* on a retry attempt — traffic
-    #: the resilience layer rescued rather than failed.
+    #: Requests that ultimately *succeeded* on such a re-run.
     requests_rescued: int = 0
-    #: Requests served by a degraded route while a breaker was open,
-    #: keyed by breaker name ("kernel" → legacy engine, "datalog" →
-    #: planner search).
-    degraded: dict[str, int] = field(default_factory=dict)
-    #: Circuit-breaker transition counts keyed ``"name:state"`` (e.g.
-    #: ``"kernel:open"``), plus each breaker's current state below.
-    breaker_transitions: dict[str, int] = field(default_factory=dict)
-    #: Current breaker states, keyed by breaker name.
-    breaker_states: dict[str, str] = field(default_factory=dict)
     coalesce_hits: int = 0
     #: Query–query requests admitted via ``submit_containment`` (a subset
     #: of ``submitted``; their latencies land in the "containment" route
@@ -79,7 +69,6 @@ class ServiceStats:
     datalog_requests: int = 0
     queue_depth: int = 0
     max_queue_depth: int = 0
-    thread_solves: int = 0
     solve_cache_hits: int = 0
     solve_cache_misses: int = 0
     #: End-to-end (admission → completion) latency per route; pre-seeded
@@ -97,14 +86,6 @@ class ServiceStats:
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
 
-    def note_degraded(self, breaker: str) -> None:
-        self.degraded[breaker] = self.degraded.get(breaker, 0) + 1
-
-    def note_breaker_transition(self, breaker: str, state: str) -> None:
-        key = f"{breaker}:{state}"
-        self.breaker_transitions[key] = self.breaker_transitions.get(key, 0) + 1
-        self.breaker_states[breaker] = state
-
     def note_completed(
         self,
         solution: Solution,
@@ -118,7 +99,6 @@ class ServiceStats:
         bucket is the solving strategy's base route.
         """
         self.completed += 1
-        self.thread_solves += 1
         if solution.stats is not None:
             self.solve_cache_hits += solution.stats.cache_hits
             self.solve_cache_misses += solution.stats.cache_misses
@@ -141,17 +121,11 @@ class ServiceStats:
             "cancelled_solves": self.cancelled_solves,
             "retries": self.retries,
             "requests_rescued": self.requests_rescued,
-            "degraded": dict(sorted(self.degraded.items())),
-            "breaker_transitions": dict(
-                sorted(self.breaker_transitions.items())
-            ),
-            "breaker_states": dict(sorted(self.breaker_states.items())),
             "coalesce_hits": self.coalesce_hits,
             "containment_requests": self.containment_requests,
             "datalog_requests": self.datalog_requests,
             "queue_depth": self.queue_depth,
             "max_queue_depth": self.max_queue_depth,
-            "thread_solves": self.thread_solves,
             "solve_cache_hits": self.solve_cache_hits,
             "solve_cache_misses": self.solve_cache_misses,
             "latency": self.latency.snapshot(),

@@ -1,4 +1,4 @@
-"""Deterministic chaos suite for the resilient solve service.
+"""Deterministic chaos suite for the solve service's failure path.
 
 Every test here drives the real service against the seeded
 fault-injection harness (:mod:`repro.faultinject`) and asserts the
@@ -10,8 +10,8 @@ keeps serving fresh traffic after the storm.
 
 The storm tests replay the exact same fault schedule per seed (which
 *request* a fault lands on still depends on scheduling, hence
-invariant-style assertions); the degradation tests pin the individual
-breaker paths with probability-1.0 faults, which are fully
+invariant-style assertions); the failure-contract test pins the one
+failure path with probability-1.0 faults, which are fully
 deterministic.  ``REPRO_CHAOS_SEED`` opts one extra randomized storm in
 (the CI chaos-smoke job passes a fresh seed and echoes it, so any
 failure is replayable).
@@ -27,6 +27,7 @@ import time
 import pytest
 
 from repro import faultinject
+from repro.core.cancellation import Deadline
 from repro.exceptions import (
     FaultInjectedError,
     ReproError,
@@ -73,7 +74,8 @@ def _corpus():
     Cheap Schaefer instances (thread backend, DP/search routes), small
     clique searches (backtracking), and dense-graph colorings the
     planner sends through the canonical-Datalog plane — so a storm
-    exercises the kernel, decomp, and datalog fault points alike.
+    reaches the kernel fault point on every route and the decomp one on
+    the DP routes.
     """
     instances = [cheap_instance(seed) for seed in range(12)]
     instances += [heavy_instance(seed) for seed in range(4)]
@@ -120,17 +122,11 @@ def _run_thread_storm(seed: int) -> None:
         {
             "kernel.compile.raise": 0.10,
             "service.dispatch.delay": 0.25,
-            "datalogk.budget": 0.35,
             "decomp.budget": 0.15,
         },
         delay_ms=(0.5, 3.0),
     )
-    config = ServiceConfig(
-        thread_workers=2,
-        retry_budget=2,
-        breaker_threshold=3,
-        breaker_cooldown=0.05,
-    )
+    config = ServiceConfig(thread_workers=2, retry_budget=2)
 
     async def scenario():
         async with SolveService(config) as service:
@@ -142,7 +138,7 @@ def _run_thread_storm(seed: int) -> None:
                     timeout = rng.choice([None, None, None, 2.0, 0.05])
                     # The dense tail of the corpus routes through the
                     # canonical-Datalog plane; ask for it so the storm
-                    # reaches the datalogk.budget fault point.
+                    # covers the Theorem 4.2 route too.
                     if index % 4 == 0 or index >= 16:
                         waiter = service.submit_datalog(
                             source, target, k=2, timeout=timeout
@@ -165,13 +161,10 @@ def _run_thread_storm(seed: int) -> None:
             stats = service.stats.snapshot()
             assert stats["submitted"] >= 64
             assert stats["completed"] >= 1
-            # The flight recorder agrees with the ledger: every retry and
-            # every breaker transition of the storm left one event.
+            # The flight recorder agrees with the ledger: every retry of
+            # the storm left one event.
             counts = service.recorder.counts()
             assert counts.get("request.retry", 0) == stats["retries"]
-            assert counts.get("breaker.transition", 0) == sum(
-                stats["breaker_transitions"].values()
-            )
 
     faultinject.install(plan)
     try:
@@ -194,87 +187,84 @@ class TestThreadChaos:
         _run_thread_storm(seed)
 
 
-class TestBreakerDegradation:
-    """Probability-1.0 faults: each breaker's degrade path, pinned."""
+class TestFailureContract:
+    """Probability-1.0 faults: a failed solve has one typed outcome."""
 
-    def test_kernel_breaker_degrades_to_legacy_engine(self):
+    def test_kernel_fault_fails_typed_after_one_attempt(self):
         # Clique searches: their routes compile the target (the Horn
         # instances of cheap_instance are decided without the kernel).
-        first = heavy_instance(0)
-        second = heavy_instance(1)
-        expected_second = _expected([second])[0]
-        config = ServiceConfig(
-            thread_workers=2,
-            retry_budget=1,
-            breaker_threshold=2,
-            breaker_cooldown=60.0,
-        )
+        pairs = [heavy_instance(0), heavy_instance(1)]
+        expected = _expected(pairs)
+        config = ServiceConfig(thread_workers=2, retry_budget=2)
 
         async def scenario():
             async with SolveService(config) as service:
-                # Both attempts hit the injected compile fault, tripping
-                # the kernel breaker (threshold 2) and failing typed.
-                with pytest.raises(FaultInjectedError):
-                    await service.submit(*first)
-                assert service.stats.retries == 1
-                assert (
-                    service.stats.breaker_states.get("kernel") == "open"
+                faultinject.install(
+                    FaultPlan(0, {"kernel.compile.raise": 1.0})
                 )
-                # With the breaker open the next request bypasses the
-                # compiled plane entirely — the legacy reference engine
-                # answers exactly, despite compile still being poisoned.
-                solution = await service.submit(*second)
-                assert solution.strategy == "legacy-engine(kernel-breaker)"
-                assert solution.exists == expected_second
-                assert service.stats.degraded.get("kernel", 0) >= 1
+                try:
+                    for pair in pairs:
+                        # One attempt, one typed error: the fault is not
+                        # retried and no other engine answers instead.
+                        with pytest.raises(FaultInjectedError):
+                            await service.submit(*pair)
+                        assert service.stats.retries == 0
+                finally:
+                    faultinject.uninstall()
+                assert service.stats.failed == 2
+                assert service.stats.completed == 0
+                # Fault-free again, both get the fault-free verdict.
+                for pair, exists in zip(pairs, expected):
+                    solution = await service.submit(*pair)
+                    assert solution.exists == exists
+                    assert "legacy-engine" not in solution.strategy
+                assert service.stats.retries == 0
 
-        faultinject.install(FaultPlan(0, {"kernel.compile.raise": 1.0}))
         try:
             asyncio.run(asyncio.wait_for(scenario(), STORM_TIMEOUT))
         finally:
             faultinject.uninstall()
 
-    def test_datalog_budget_degrades_to_planner_search(self):
-        # clique(5) → clique(3) routes through the canonical-Datalog
-        # plane (asserted below), where the injected budget breach fires.
-        first = (clique(5), clique(3))
-        second = (clique(6), clique(3))
-        pipeline = SolveService(ServiceConfig()).pipeline
-        baseline = pipeline.solve(
-            *first, plan=True, try_canonical_datalog=2
-        )
-        assert "route=datalog" in baseline.strategy
-        config = ServiceConfig(
-            thread_workers=2,
-            retry_budget=2,
-            breaker_threshold=1,
-            breaker_cooldown=60.0,
-        )
+    @pytest.mark.parametrize("extended", [True, False])
+    def test_timeout_is_rerun_only_after_a_deadline_extension(
+        self, extended
+    ):
+        pair = heavy_instance(0)
+        expected = _expected([pair])[0]
+
+        config = ServiceConfig(thread_workers=1)
 
         async def scenario():
             async with SolveService(config) as service:
-                # Attempt 1 breaches the budget; the retry strips the
-                # canonical-Datalog ask and the planner's search answers
-                # the same question — the request is rescued, not failed.
-                solution = await service.submit_datalog(*first, k=2)
-                assert solution.exists == baseline.exists
-                assert service.stats.retries == 1
-                assert service.stats.requests_rescued == 1
-                assert (
-                    service.stats.breaker_states.get("datalog") == "open"
-                )
-                # With the breaker open the ask is stripped *before* the
-                # first attempt: no retry needed, still exact.
-                solution = await service.submit_datalog(*second, k=2)
-                assert not solution.exists  # K6 never maps into K3
-                assert service.stats.degraded.get("datalog", 0) >= 1
-                assert service.stats.retries == 1  # unchanged
+                solve = service._thread_solve
+                attempts = []
 
-        faultinject.install(FaultPlan(1, {"datalogk.budget": 1.0}))
-        try:
-            asyncio.run(asyncio.wait_for(scenario(), STORM_TIMEOUT))
-        finally:
-            faultinject.uninstall()
+                def first_attempt_times_out(request):
+                    attempts.append(request.seq)
+                    if len(attempts) > 1:
+                        return solve(request)
+                    # The kernel hit the deadline; meanwhile a patient
+                    # waiter attached (or nobody did).
+                    request.token.deadline = (
+                        None if extended else Deadline.after(-1.0)
+                    )
+                    raise SolveTimeoutError("deadline expired in the kernel")
+
+                service._thread_solve = first_attempt_times_out
+                waiter = service.submit(*pair, timeout=30.0)
+                if extended:
+                    assert (await waiter).exists == expected
+                else:
+                    with pytest.raises(SolveTimeoutError):
+                        await waiter
+                stats = service.stats
+                assert len(attempts) == stats.retries + 1
+                assert stats.retries == stats.requests_rescued == int(extended)
+                assert service.recorder.counts().get(
+                    "request.retry", 0
+                ) == int(extended)
+
+        asyncio.run(asyncio.wait_for(scenario(), STORM_TIMEOUT))
 
 
 class TestCancellationFreesWorkers:

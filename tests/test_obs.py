@@ -297,21 +297,6 @@ class TestLoggerHierarchy:
         assert child.name == "repro.kernel"
         assert child.parent is root
 
-    def test_breaker_transition_warns_with_structured_extra(self, caplog):
-        from repro.service.resilience import CircuitBreaker
-
-        breaker = CircuitBreaker("obs-test", threshold=1)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            breaker.record_failure()
-        records = [
-            record
-            for record in caplog.records
-            if getattr(record, "event", None) == "breaker.transition"
-        ]
-        assert records, "breaker transitions must log at WARNING"
-        assert records[0].breaker == "obs-test"
-        assert records[0].state == "open"
-        assert records[0].name.startswith("repro.")
 
 
 # -- calibration ----------------------------------------------------------
@@ -482,14 +467,16 @@ class TestServiceTracing:
         text = asyncio.run(scenario())
         samples = assert_parses_as_prometheus(text)
         assert any(
-            line.startswith("repro_service_requests_total") for line in samples
-        )
-        assert any(
-            line.startswith('repro_service_solves_total{backend="thread"} ')
+            line.startswith(
+                'repro_service_requests_total{outcome="completed"} 1'
+            )
             for line in samples
         )
         assert any(
-            line.startswith("repro_service_breaker_state") for line in samples
+            line.startswith("repro_service_latency_ms{") for line in samples
         )
+        # No breaker or per-backend family is exported.
+        assert "repro_service_breaker_" not in text
+        assert "repro_service_solves_total" not in text
         # Kernel counters share the same registry and exposition.
         assert "repro_kernel_" in text

@@ -1,9 +1,8 @@
-"""Unit tests for the resilience primitives.
+"""Unit tests for the failure-path primitives.
 
 Covers the building blocks the chaos suite (``tests/test_chaos.py``)
-exercises end to end: the circuit-breaker state machine, the failure
-classifier, deadlines and cooperative cancellation tokens, and the
-seeded fault-injection plan.
+exercises end to end: deadlines and cooperative cancellation tokens,
+and the seeded fault-injection plan.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ import os
 import pytest
 
 from repro import faultinject
-from repro.exceptions import (
-    FaultInjectedError,
-    ResourceBudgetError,
-    SolveTimeoutError,
-    VocabularyError,
-)
+from repro.exceptions import FaultInjectedError, SolveTimeoutError
 from repro.core.cancellation import (
     CancellationToken,
     Deadline,
@@ -28,125 +22,6 @@ from repro.core.cancellation import (
     current_token,
 )
 from repro.faultinject import FaultPlan
-from repro.service.resilience import (
-    BreakerState,
-    CircuitBreaker,
-    FailureKind,
-    classify,
-)
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestCircuitBreaker:
-    def make(self, **kwargs):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "test", threshold=3, cooldown=1.0, clock=clock, **kwargs
-        )
-        return breaker, clock
-
-    def test_stays_closed_below_threshold(self):
-        breaker, _ = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow()
-
-    def test_success_resets_the_failure_count(self):
-        breaker, _ = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_opens_at_threshold_and_blocks(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow()
-        clock.advance(0.5)
-        assert not breaker.allow()  # still cooling
-
-    def test_half_open_admits_exactly_one_probe(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()  # the probe
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert not breaker.allow()  # probe slot already claimed
-
-    def test_probe_success_closes(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_with_fresh_cooldown(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        clock.advance(0.5)
-        assert not breaker.allow()  # the cooldown restarted at reopen
-        clock.advance(0.5)
-        assert breaker.allow()
-
-    def test_transitions_are_counted_and_reported(self):
-        seen: list[tuple[str, BreakerState]] = []
-        breaker, clock = self.make(
-            on_transition=lambda name, state: seen.append((name, state))
-        )
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.0)
-        breaker.allow()
-        breaker.record_success()
-        assert seen == [
-            ("test", BreakerState.OPEN),
-            ("test", BreakerState.HALF_OPEN),
-            ("test", BreakerState.CLOSED),
-        ]
-        assert breaker.snapshot()["transitions"] == {
-            "open": 1,
-            "half_open": 1,
-            "closed": 1,
-        }
-
-
-class TestClassify:
-    @pytest.mark.parametrize(
-        ("exc", "kind", "breaker"),
-        [
-            (VocabularyError("x"), FailureKind.PERMANENT, None),
-            (FaultInjectedError("x"), FailureKind.TRANSIENT, "kernel"),
-            (ResourceBudgetError("x"), FailureKind.DEGRADE_DATALOG, "datalog"),
-            (SolveTimeoutError("x"), FailureKind.TIMEOUT, None),
-            (ValueError("x"), FailureKind.PERMANENT, None),
-        ],
-    )
-    def test_mapping(self, exc, kind, breaker):
-        assert classify(exc) == (kind, breaker)
 
 
 class TestDeadline:
