@@ -5,11 +5,12 @@ Three tables, answers asserted identical before anything is written:
 1. **DP kernel vs legacy** on the E10 bounded-treewidth workload
    (widths 2–4 with certificate decompositions, clique targets): the
    compiled bag-table DP (``repro.kernel.decomp``) against the legacy
-   bag-map enumeration (``solve_by_treewidth(engine="legacy")``).
+   bag-map enumeration kept as the test oracle
+   (``reference.homomorphism.solve_by_treewidth``).
 2. **Generalized k-pebble vs legacy** on the E8 two-coloring workload at
    k = 3 (plus the table-based legacy variant): the compiled bitset
    fixpoint (``repro.kernel.pebblek``) against the deletion loop of
-   ``repro.pebble.game``.
+   ``reference.homomorphism``.
 3. **Planner routing**: the width-aware planner on three instance
    families — bounded-width k-trees (→ dp), clique-into-dense-graph
    searches (→ search), and dense almost-surely-non-2-colorable graphs
@@ -31,14 +32,12 @@ import time
 
 import _paths  # noqa: F401  (sys.path setup for a bare checkout)
 
+from reference import homomorphism as reference_hom
 from repro.core.pipeline import SolverPipeline
 from repro.kernel.decomp import solve_decomposition
 from repro.kernel.pebblek import spoiler_wins_k
-from repro.pebble.game import spoiler_wins
-from repro.pebble.kconsistency import strong_k_consistent
 from repro.structures.graphs import clique, random_graph
 from repro.structures.homomorphism import is_homomorphism
-from repro.treewidth.dp import solve_by_treewidth
 
 from _workloads import (
     bounded_treewidth_family,
@@ -84,8 +83,8 @@ def bench_dp() -> dict:
             solve_decomposition, source, target, certificate
         )
         legacy_ms, legacy = timed(
-            lambda: solve_by_treewidth(
-                source, target, certificate, engine="legacy"
+            lambda: reference_hom.solve_by_treewidth(
+                source, target, certificate
             )
         )
         if (kernel is None) != (legacy is None):
@@ -114,10 +113,11 @@ def bench_pebble() -> dict:
         source, target = two_coloring_instance(n, seed=n)
         kernel_ms, kernel = timed(spoiler_wins_k, source, target, 3)
         game_ms, game = timed(
-            lambda: spoiler_wins(source, target, 3, engine="legacy")
+            lambda: reference_hom.spoiler_wins(source, target, 3)
         )
         tables_ms, tables = timed(
-            lambda: strong_k_consistent(source, target, 3, engine="legacy")
+            lambda: reference_hom.consistency_tables(source, target, 3)
+            is not None
         )
         if kernel != game or kernel == tables:
             raise SystemExit(f"parity FAILED on E8 n={n}: verdicts differ")

@@ -5,13 +5,14 @@ Three tables, answers asserted identical before anything is written:
 1. **Containment matrix vs legacy pairwise loop**: ``containment_matrix``
    (fingerprint-deduped compiles, one shared union vocabulary, planner
    routing) against the seed-era loop of one-shot ``contains`` calls that
-   rebuilds both canonical databases per pair — on a mixed family of
-   ≥ 40 seeded queries.  The acceptance floor is a 5x speedup with exact
+   rebuilds both canonical databases per pair (``reference.cq``) — on a
+   mixed family of ≥ 40 seeded queries.  The acceptance floor is a 5x speedup with exact
    matrix parity.
 2. **Minimization: compiled kernel vs legacy**: ``minimize`` on
    redundant chain queries — the kernel core engine (masked bitset
    endomorphism search) against the legacy materialize-a-substructure
-   loop; identical minimized queries required.
+   loop (``reference.cq.minimize``); identical minimized queries
+   required.
 3. **Containment planner routing**: route distribution and per-route
    verdict parity across three pair families (small/mixed → search,
    bounded-width → dp-eligible, large two-atom → saraiya-eligible).
@@ -32,6 +33,7 @@ import time
 
 import _paths  # noqa: F401  (sys.path setup for a bare checkout)
 
+from reference import cq as reference_cq
 from repro.cq.containment import (
     containment_matrix,
     contains,
@@ -110,7 +112,7 @@ def bench_matrix(num_queries: int) -> dict:
     queries = query_family(num_queries)
 
     def legacy_loop(qs):
-        return [[contains(a, b, engine="legacy") for b in qs] for a in qs]
+        return [[reference_cq.contains(a, b) for b in qs] for a in qs]
 
     legacy_ms, legacy = timed(lambda: legacy_loop(query_family(num_queries)))
     cold_ms, cold = timed(
@@ -143,7 +145,7 @@ def bench_minimize() -> dict:
         query = redundant_chain(length, extra, seed=length)
         kernel_ms, kernel = timed(lambda q=query: minimize(fresh(q)))
         legacy_ms, legacy = timed(
-            lambda q=query: minimize(fresh(q), engine="legacy")
+            lambda q=query: reference_cq.minimize(fresh(q))
         )
         if kernel != legacy:
             raise SystemExit(

@@ -1,5 +1,8 @@
 """P6 — the compiled Datalog plane: bitset semi-naive vs the legacy engine.
 
+The legacy side is the pure-dict evaluator kept as the test oracle in
+``reference.datalog``.
+
 Three tables, answers asserted identical before anything is written:
 
 1. **Evaluation: kernel vs legacy** on the extended E9 workload — the
@@ -35,6 +38,7 @@ import time
 import _paths  # noqa: F401  (sys.path setup for a bare checkout)
 
 from _workloads import two_coloring_instance
+from reference import datalog as reference_datalog
 from repro.datalog.canonical_program import (
     canonical_program,
     canonical_refutes,
@@ -72,7 +76,7 @@ def bench_evaluation(max_n: int) -> dict:
         source, _target = two_coloring_instance(n, seed=n)
         kernel_ms, kernel_says = timed(goal_holds, RHO, source)
         legacy_ms, legacy_says = timed(
-            lambda: goal_holds(RHO, source, engine="legacy")
+            lambda: reference_datalog.goal_holds(RHO, source)
         )
         if kernel_says != legacy_says:
             raise SystemExit(f"parity FAILED: goal_holds differs at n={n}")
@@ -90,10 +94,10 @@ def bench_evaluation(max_n: int) -> dict:
     for n in (6, 8, 10):
         source, _target = two_coloring_instance(n, seed=n)
         kernel_ms, kernel_db = timed(
-            lambda: evaluate_program(RHO, source, engine="kernel")
+            lambda: evaluate_program(RHO, source)
         )
         legacy_ms, legacy_db = timed(
-            lambda: evaluate_program(RHO, source, engine="legacy")
+            lambda: reference_datalog.evaluate_program(RHO, source)
         )
         if kernel_db != legacy_db:
             raise SystemExit(f"parity FAILED: rho_K2 IDB differs at n={n}")
@@ -111,10 +115,10 @@ def bench_evaluation(max_n: int) -> dict:
     for n in (12, 16, 20):
         graph = random_digraph(n, 0.3, seed=n)
         kernel_ms, kernel_db = timed(
-            lambda: evaluate_program(TC, graph, engine="kernel")
+            lambda: evaluate_program(TC, graph)
         )
         legacy_ms, legacy_db = timed(
-            lambda: evaluate_program(TC, graph, engine="legacy")
+            lambda: reference_datalog.evaluate_program(TC, graph)
         )
         if kernel_db != legacy_db:
             raise SystemExit(f"parity FAILED: TC differs at n={n}")
@@ -147,7 +151,7 @@ def bench_decision() -> dict:
             canonical_refutes, source, target, k
         )
         legacy_ms, legacy_says = timed(
-            lambda: canonical_refutes(source, target, k, engine="legacy")
+            lambda: reference_datalog.canonical_refutes(source, target, k)
         )
         if kernel_says != legacy_says:
             raise SystemExit(

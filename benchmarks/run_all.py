@@ -8,7 +8,8 @@ can be read off directly.  pytest-benchmark gives the statistically
 careful numbers; this runner gives the at-a-glance reproduction report.
 P1 exercises the solver pipeline itself (routing overhead, fingerprint
 cache, ``solve_many``); P2 compares the compiled bitset kernel against
-the legacy pure-dict solver on the backtracking-heavy workloads; P4
+the legacy pure-dict solver (the ``reference`` package, kept as the
+test oracle) on the backtracking-heavy workloads; P4
 does the same for the decomposition kernel — the compiled treewidth DP
 (E10) and the generalized k-pebble engine (E8) — see
 ``bench_p04_decomp.py`` for the full version with planner routing; P5
@@ -40,6 +41,9 @@ import time
 import _paths  # noqa: F401  (puts src/ and benchmarks/ on sys.path)
 
 import _workloads as W  # noqa: E402
+from reference import cq as reference_cq  # noqa: E402
+from reference import datalog as reference_datalog  # noqa: E402
+from reference import homomorphism as reference_hom  # noqa: E402
 from repro.boolean.booleanize import booleanize  # noqa: E402
 from repro.boolean.direct import (  # noqa: E402
     solve_bijunctive_csp,
@@ -259,15 +263,15 @@ def e09() -> None:
     rows = []
     for n in (3, 4, 5, 6):
         source, target = W.two_coloring_instance(n, seed=n)
-        kernel_says = goal_holds(rho, source, engine="kernel")
-        legacy_says = goal_holds(rho, source, engine="legacy")
+        kernel_says = goal_holds(rho, source)
+        legacy_says = reference_datalog.goal_holds(rho, source)
         game_says = spoiler_wins(source, target, 2)
         assert kernel_says == legacy_says == game_says, f"E9 parity n={n}"
         rows.append(
             [
                 n,
-                ms(timed(goal_holds, rho, source, engine="kernel")),
-                ms(timed(goal_holds, rho, source, engine="legacy")),
+                ms(timed(goal_holds, rho, source)),
+                ms(timed(reference_datalog.goal_holds, rho, source)),
                 ms(timed(spoiler_wins, source, target, 2)),
             ]
         )
@@ -414,40 +418,42 @@ def p01() -> None:
 
 def p02() -> None:
     """The compiled kernel vs the legacy solver, backtracking-heavy only."""
-    from repro.kernel import use_engine
-
     graph = random_graph(18, 0.5, seed=99)
     coloring_8 = W.two_coloring_instance(8, seed=8)
     coloring_64 = W.two_coloring_instance(64, seed=64)
     q1, q2 = W.containment_pair(6, seed=6)
+    # (label, kernel, reference) per row.
     workloads = [
         (
             "E8 2-coloring n=8",
             lambda: solve_backtracking(*coloring_8),
+            lambda: reference_hom.solve_backtracking(*coloring_8),
         ),
         (
             "E8 2-coloring n=64",
             lambda: solve_backtracking(*coloring_64),
+            lambda: reference_hom.solve_backtracking(*coloring_64),
         ),
         (
             "E13 K5 into G(18,.5)",
             lambda: solve_backtracking(clique(5), graph),
+            lambda: reference_hom.solve_backtracking(clique(5), graph),
         ),
         (
             "E13 K6 into G(18,.5)",
             lambda: solve_backtracking(clique(6), graph),
+            lambda: reference_hom.solve_backtracking(clique(6), graph),
         ),
         (
             "E14 containment #preds=6",
             lambda: contains(q1, q2),
+            lambda: reference_cq.contains(q1, q2),
         ),
     ]
     rows = []
-    for label, fn in workloads:
-        with use_engine("kernel"):
-            kernel = timed(fn)
-        with use_engine("legacy"):
-            legacy = timed(fn)
+    for label, kernel_fn, reference_fn in workloads:
+        kernel = timed(kernel_fn)
+        legacy = timed(reference_fn)
         rows.append([label, ms(kernel), ms(legacy), ratio(legacy / kernel)])
     table(
         "P2 compiled kernel vs legacy solver (backtracking-heavy)",
@@ -458,9 +464,10 @@ def p02() -> None:
 
 def p04() -> None:
     """The decomposition kernel vs legacy: treewidth DP and k-pebble."""
-    from repro.kernel import use_engine
     from _workloads import bounded_treewidth_family
 
+    # (label, kernel, reference) per row; default arguments bind the
+    # loop variables now, not at call time.
     workloads = []
     for label, source, target, certificate in bounded_treewidth_family(
         n=40, seed=40
@@ -468,9 +475,11 @@ def p04() -> None:
         workloads.append(
             (
                 f"E10 {label} K{len(target)}",
-                # bind loop variables now, not at call time
                 lambda s=source, t=target, d=certificate: solve_by_treewidth(
                     s, t, d
+                ),
+                lambda s=source, t=target, d=certificate: (
+                    reference_hom.solve_by_treewidth(s, t, d)
                 ),
             )
         )
@@ -480,20 +489,24 @@ def p04() -> None:
             (
                 f"E8 pebble k=3 n={n}",
                 lambda s=source, t=target: spoiler_wins(s, t, 3),
+                lambda s=source, t=target: reference_hom.spoiler_wins(
+                    s, t, 3
+                ),
             )
         )
         workloads.append(
             (
                 f"E8 tables k=3 n={n}",
                 lambda s=source, t=target: strong_k_consistent(s, t, 3),
+                lambda s=source, t=target: (
+                    reference_hom.consistency_tables(s, t, 3) is not None
+                ),
             )
         )
     rows = []
-    for label, fn in workloads:
-        with use_engine("kernel"):
-            kernel = timed(fn)
-        with use_engine("legacy"):
-            legacy = timed(fn)
+    for label, kernel_fn, reference_fn in workloads:
+        kernel = timed(kernel_fn)
+        legacy = timed(reference_fn)
         rows.append([label, ms(kernel), ms(legacy), ratio(legacy / kernel)])
     table(
         "P4 decomposition kernel vs legacy (E8/E10)",
@@ -510,7 +523,7 @@ def p05() -> None:
 
     def legacy_matrix() -> None:
         queries = query_family(16)
-        [[contains(a, b, engine="legacy") for b in queries] for a in queries]
+        [[reference_cq.contains(a, b) for b in queries] for a in queries]
 
     def compiled_matrix() -> None:
         containment_matrix(query_family(16))
@@ -525,7 +538,7 @@ def p05() -> None:
         [
             "P5 minimize chain 5+4 redundant",
             ms(timed(lambda: minimize(fresh(redundant)))),
-            ms(timed(lambda: minimize(fresh(redundant), engine="legacy"))),
+            ms(timed(lambda: reference_cq.minimize(fresh(redundant)))),
         ],
     ]
     for row in rows:
@@ -553,18 +566,20 @@ def p06() -> None:
         ("rho_K2 fixpoint n=10", rho, W.two_coloring_instance(10, seed=10)[0]),
         ("TC n=16", tc, random_digraph(16, 0.3, seed=16)),
     ):
-        kernel_db = evaluate_program(program, structure, engine="kernel")
-        legacy_db = evaluate_program(program, structure, engine="legacy")
+        kernel_db = evaluate_program(program, structure)
+        legacy_db = reference_datalog.evaluate_program(program, structure)
         assert kernel_db == legacy_db, f"P6 parity: {label}"
-        kernel = timed(evaluate_program, program, structure, engine="kernel")
-        legacy = timed(evaluate_program, program, structure, engine="legacy")
+        kernel = timed(evaluate_program, program, structure)
+        legacy = timed(reference_datalog.evaluate_program, program, structure)
         rows.append([label, ms(kernel), ms(legacy), ratio(legacy / kernel)])
     source = random_digraph(8, 0.3, seed=8)
-    assert canonical_refutes(source, clique(2), 2) == canonical_refutes(
-        source, clique(2), 2, engine="legacy"
+    assert canonical_refutes(
+        source, clique(2), 2
+    ) == reference_datalog.canonical_refutes(
+        source, clique(2), 2
     ) == spoiler_wins(source, clique(2), 2), "P6 parity: Thm 4.2 decision"
     kernel = timed(canonical_refutes, source, clique(2), 2)
-    legacy = timed(canonical_refutes, source, clique(2), 2, engine="legacy")
+    legacy = timed(reference_datalog.canonical_refutes, source, clique(2), 2)
     rows.append(
         ["Thm 4.2 decision n=8 k=2", ms(kernel), ms(legacy),
          ratio(legacy / kernel)]

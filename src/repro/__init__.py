@@ -32,7 +32,6 @@ from repro.core.pipeline import (
     solve,
     solve_many,
 )
-from repro.kernel.engine import set_default_engine, use_engine
 from repro.core.problem import HomomorphismProblem
 from repro.service import Priority, ServiceConfig, SolveService
 from repro.cq.containment import (
@@ -88,9 +87,6 @@ __all__ = [
     "default_pipeline",
     "solve",
     "solve_many",
-    # the compiled kernel's engine flag (kernel vs legacy oracle)
-    "set_default_engine",
-    "use_engine",
     # the concurrent solve service
     "Priority",
     "ServiceConfig",

@@ -11,7 +11,7 @@ The game is played on the generalized compiled k-pebble engine
 (:func:`repro.kernel.pebblek.spoiler_wins_k` — bitset tables over
 ≤ k-subassignments, reusing the cached target compilation) for *every*
 ``k``, not just the old ``k = 2`` fast path; the kernel verdict agrees
-with the legacy family fixpoint on every instance.
+with the reference family fixpoint on every instance.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Theorem 2.1 identifies containment, evaluation, and the homomorphism
 problem through the canonical database ``D_Q`` — which means every
-containment probe, every evaluation, and every minimization step of the
-legacy one-shot paths rebuilt the *same* ``D_Q`` (and recompiled it in
-the kernel) from scratch.  :class:`CompiledQuery` is the query-plane
+containment probe, every evaluation, and every minimization step of a
+one-shot path would rebuild the *same* ``D_Q`` (and recompile it in the
+kernel) from scratch.  :class:`CompiledQuery` is the query-plane
 analogue of the kernel's structure memos:
 
 * the **body structure** and **canonical database** of the query, built
@@ -85,7 +85,7 @@ class CompiledQuery:
         #: batch over one shared union — this holds one or two entries.
         self._bodies: dict[Vocabulary, Structure] = {}
         self._canonicals: dict[Vocabulary, Structure] = {}
-        #: Memo for repro.cq.minimize.minimize (kernel engine only).
+        #: Memo for repro.cq.minimize.minimize.
         self._minimized: ConjunctiveQuery | None = None
 
     def body_for(self, vocabulary: Vocabulary | None = None) -> Structure:

@@ -16,11 +16,11 @@ layer (:func:`containment_matrix` / :func:`equivalence_classes`) classifies
 whole query sets with fingerprint-deduped compilations over one shared
 union vocabulary.
 
-Every entry point runs on the compiled query plane by default — canonical
-databases come from :class:`repro.cq.compiled.CompiledQuery` (built once
-per query per vocabulary, kernel compilation memoized on the structure) —
-with ``engine="legacy"`` reproducing the original rebuild-per-probe path
-as the parity oracle.
+Every entry point runs on the compiled query plane — canonical databases
+come from :class:`repro.cq.compiled.CompiledQuery` (built once per query
+per vocabulary, kernel compilation memoized on the structure).  The
+parity suite holds it to the rebuild-per-probe paths of
+``reference/cq.py``.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from repro.cq.canonical import body_structure, canonical_database
 from repro.cq.compiled import CompiledQuery, compile_query
 from repro.cq.evaluation import evaluate
 from repro.cq.query import ConjunctiveQuery, check_compatible
 from repro.cq.saraiya import contains_two_atom_structures
 from repro.kernel.compile import compile_target
-from repro.kernel.engine import LEGACY, resolve_engine
 from repro.kernel.estimate import estimate_cost, plan_instance
 from repro.structures.homomorphism import find_homomorphism
 from repro.structures.structure import Structure
@@ -85,21 +83,15 @@ def _union_pair(
 
 
 def containment_witness(
-    q1: ConjunctiveQuery, q2: ConjunctiveQuery, *, engine: str | None = None
+    q1: ConjunctiveQuery, q2: ConjunctiveQuery
 ) -> dict[Element, Element] | None:
     """The containment homomorphism ``D_{Q2} → D_{Q1}``, or ``None``.
 
     A witness maps every variable of ``q2`` to a variable of ``q1`` such
     that subgoals of ``q2`` become subgoals of ``q1`` and distinguished
-    variables correspond positionally.  Both engines return the same
-    witness; the legacy path rebuilds the canonical databases per probe.
+    variables correspond positionally.
     """
     check_compatible(q1, q2)
-    if resolve_engine(engine) == LEGACY:
-        union = q1.vocabulary.union(q2.vocabulary)
-        d1 = canonical_database(q1, union)
-        d2 = canonical_database(q2, union)
-        return find_homomorphism(d2, d1, engine=LEGACY)
     _cq1, _cq2, source, target = _union_pair(q1, q2)
     return find_homomorphism(source, target)
 
@@ -108,7 +100,6 @@ def contains(
     q1: ConjunctiveQuery,
     q2: ConjunctiveQuery,
     *,
-    engine: str | None = None,
     plan: bool = False,
 ) -> bool:
     """Decide ``Q1 ⊆ Q2`` (the paper's containment direction).
@@ -120,8 +111,6 @@ def contains(
     going straight to the kernel search; every route is exact.
     """
     check_compatible(q1, q2)
-    if resolve_engine(engine) == LEGACY:
-        return containment_witness(q1, q2, engine=LEGACY) is not None
     _cq1, _cq2, source, target = _union_pair(q1, q2)
     if plan:
         decision = _plan_structures(q1, source, target)
@@ -130,7 +119,7 @@ def contains(
 
 
 def contains_via_evaluation(
-    q1: ConjunctiveQuery, q2: ConjunctiveQuery, *, engine: str | None = None
+    q1: ConjunctiveQuery, q2: ConjunctiveQuery
 ) -> bool:
     """Decide ``Q1 ⊆ Q2`` by evaluating Q2 on the canonical database of Q1.
 
@@ -140,19 +129,13 @@ def contains_via_evaluation(
     """
     check_compatible(q1, q2)
     union = q1.vocabulary.union(q2.vocabulary)
-    if resolve_engine(engine) == LEGACY:
-        database: Structure = body_structure(q1, union)
-    else:
-        database = compile_query(q1).body_for(union)
-    answers = evaluate(q2, database, engine=engine)
+    answers = evaluate(q2, compile_query(q1).body_for(union))
     return tuple(q1.head_variables) in answers
 
 
-def equivalent(
-    q1: ConjunctiveQuery, q2: ConjunctiveQuery, *, engine: str | None = None
-) -> bool:
+def equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """Query equivalence: containment in both directions."""
-    return contains(q1, q2, engine=engine) and contains(q2, q1, engine=engine)
+    return contains(q1, q2) and contains(q2, q1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +263,19 @@ def _contains_instance(
 def containment_matrix(
     queries: Sequence[ConjunctiveQuery] | Iterable[ConjunctiveQuery],
     *,
-    engine: str | None = None,
     width_threshold: int = DEFAULT_CONTAINMENT_WIDTH,
     plan: bool = True,
 ) -> list[list[bool]]:
     """The full containment relation: ``matrix[i][j]`` iff ``Qi ⊆ Qj``.
 
-    The batch entry point of the query plane.  On the kernel engine the
-    queries are deduplicated by :func:`repro.cq.compiled.query_fingerprint`
+    The batch entry point of the query plane.  The queries are
+    deduplicated by :func:`repro.cq.compiled.query_fingerprint`
     before anything is compiled, every canonical database is built once
     over the *shared* union vocabulary of the whole batch (widening with
     empty relations never changes a containment verdict), and each of the
     ``k·(k-1)`` distinct ordered pairs is routed by the containment
     planner (``plan=False`` forces the plain kernel search).  Diagonal
     entries are ``True`` by reflexivity.
-
-    ``engine="legacy"`` is the parity oracle: the pairwise loop of
-    one-shot :func:`contains` calls, rebuilding both canonical databases
-    per probe.  Both engines return the identical matrix.
 
     All queries must share one head arity (:class:`VocabularyError`
     otherwise), and their body vocabularies must agree on arities.
@@ -307,11 +285,6 @@ def containment_matrix(
         return []
     for query in queries[1:]:
         check_compatible(queries[0], query)
-    if resolve_engine(engine) == LEGACY:
-        return [
-            [contains(qi, qj, engine=LEGACY) for qj in queries]
-            for qi in queries
-        ]
 
     compiled = [compile_query(query) for query in queries]
     slots: list[int] = []
@@ -357,7 +330,6 @@ def containment_matrix(
 def equivalence_classes(
     queries: Sequence[ConjunctiveQuery] | Iterable[ConjunctiveQuery],
     *,
-    engine: str | None = None,
     width_threshold: int = DEFAULT_CONTAINMENT_WIDTH,
 ) -> list[list[int]]:
     """Group query indices by equivalence (mutual containment).
@@ -365,13 +337,11 @@ def equivalence_classes(
     Containment is a preorder, so mutual containment is an equivalence
     relation; the classes come back as index lists in first-seen order,
     each class ordered by input position.  Built on
-    :func:`containment_matrix`, so the batch dedup/compile sharing (and
-    the ``engine`` parity oracle) apply unchanged.
+    :func:`containment_matrix`, so the batch dedup/compile sharing
+    applies unchanged.
     """
     queries = list(queries)
-    matrix = containment_matrix(
-        queries, engine=engine, width_threshold=width_threshold
-    )
+    matrix = containment_matrix(queries, width_threshold=width_threshold)
     classes: list[list[int]] = []
     leaders: list[int] = []
     for index in range(len(queries)):

@@ -43,39 +43,28 @@ def _aligned(query: ConjunctiveQuery, database: Structure) -> Structure:
     return database
 
 
-def evaluate(
-    query: ConjunctiveQuery,
-    database: Structure,
-    *,
-    engine: str | None = None,
-) -> set[Row]:
+def evaluate(query: ConjunctiveQuery, database: Structure) -> set[Row]:
     """All answers of ``query`` on ``database`` via homomorphisms.
 
     For a Boolean query the result is ``{()}`` (true) or ``set()`` (false).
     The body structure comes from the compiled query artifact
     (:mod:`repro.cq.compiled`), so evaluating the same query repeatedly —
     against one database, or a fleet sharing a vocabulary — reuses one
-    build and its kernel compilation; ``engine`` selects the solver for
-    the homomorphism enumeration.
+    build and its kernel compilation.
     """
     database = _aligned(query, database)
     body = compile_query(query).body_for(database.vocabulary)
     answers: set[Row] = set()
-    for hom in all_homomorphisms(body, database, engine=engine):
+    for hom in all_homomorphisms(body, database):
         answers.add(tuple(hom[v] for v in query.head_variables))
     return answers
 
 
-def holds(
-    query: ConjunctiveQuery,
-    database: Structure,
-    *,
-    engine: str | None = None,
-) -> bool:
+def holds(query: ConjunctiveQuery, database: Structure) -> bool:
     """Truth of a Boolean query (or non-emptiness of an n-ary one)."""
     database = _aligned(query, database)
     body = compile_query(query).body_for(database.vocabulary)
-    for _hom in all_homomorphisms(body, database, engine=engine):
+    for _hom in all_homomorphisms(body, database):
         return True
     return False
 

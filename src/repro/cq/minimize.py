@@ -17,43 +17,32 @@ comes from the memoized :class:`repro.cq.compiled.CompiledQuery`, the core
 from the kernel's masked endomorphism search
 (:mod:`repro.kernel.corek`), and the minimized query is memoized on the
 compiled artifact — repeated minimization of a hot query is free.
-``engine="legacy"`` reproduces the original rebuild-per-call path as the
-parity oracle; both engines return the identical minimized query.
+The parity suite holds both to the rebuild-per-call paths of
+``reference/cq.py``: the identical minimized query.
 """
 
 from __future__ import annotations
 
-from repro.cq.canonical import (
-    DISTINGUISHED_PREFIX,
-    canonical_database,
-)
+from repro.cq.canonical import DISTINGUISHED_PREFIX
 from repro.cq.compiled import compile_query
 from repro.cq.containment import equivalent
 from repro.cq.query import Atom, ConjunctiveQuery
-from repro.kernel.engine import LEGACY, resolve_engine
 from repro.structures.product import core
 
 __all__ = ["minimize", "minimize_by_atom_removal", "is_minimal"]
 
 
-def minimize(
-    query: ConjunctiveQuery, *, engine: str | None = None
-) -> ConjunctiveQuery:
+def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
     """The minimal equivalent query, via the core of ``D_Q``.
 
     The unary distinguished markers make the head variables rigid: every
     retraction fixes them, so the core's marker facts still identify the
     head.  Body atoms are read back from the core's non-marker facts.
     """
-    engine = resolve_engine(engine)
-    if engine == LEGACY:
-        database = canonical_database(query)
-    else:
-        compiled = compile_query(query)
-        if compiled._minimized is not None:
-            return compiled._minimized
-        database = compiled.canonical
-    minimal = core(database, engine=engine)
+    compiled = compile_query(query)
+    if compiled._minimized is not None:
+        return compiled._minimized
+    minimal = core(compiled.canonical)
     head = list(query.head_variables)
     atoms = [
         Atom(name, fact)
@@ -61,14 +50,11 @@ def minimize(
         if not name.startswith(DISTINGUISHED_PREFIX)
     ]
     result = ConjunctiveQuery(head, atoms, query.name)
-    if engine != LEGACY:
-        compiled._minimized = result
+    compiled._minimized = result
     return result
 
 
-def minimize_by_atom_removal(
-    query: ConjunctiveQuery, *, engine: str | None = None
-) -> ConjunctiveQuery:
+def minimize_by_atom_removal(query: ConjunctiveQuery) -> ConjunctiveQuery:
     """Greedy minimization: drop atoms while equivalence is preserved.
 
     Independent of :func:`minimize`; by the uniqueness of minimal
@@ -83,16 +69,14 @@ def minimize_by_atom_removal(
             candidate = ConjunctiveQuery(
                 query.head_variables, candidate_atoms, query.name
             )
-            if equivalent(candidate, query, engine=engine):
+            if equivalent(candidate, query):
                 atoms = candidate_atoms
                 changed = True
                 break
     return ConjunctiveQuery(query.head_variables, atoms, query.name)
 
 
-def is_minimal(
-    query: ConjunctiveQuery, *, engine: str | None = None
-) -> bool:
+def is_minimal(query: ConjunctiveQuery) -> bool:
     """True when no single body atom can be dropped."""
     for index in range(len(query.atoms)):
         candidate = ConjunctiveQuery(
@@ -100,6 +84,6 @@ def is_minimal(
             query.atoms[:index] + query.atoms[index + 1 :],
             query.name,
         )
-        if equivalent(candidate, query, engine=engine):
+        if equivalent(candidate, query):
             return False
     return True

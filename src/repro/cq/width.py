@@ -52,23 +52,17 @@ def is_acyclic_width(query: ConjunctiveQuery) -> bool:
     return query_treewidth(query) <= 1
 
 
-def contains_bounded_width(
-    q1: ConjunctiveQuery, q2: ConjunctiveQuery, *, engine: str | None = None
-) -> bool:
+def contains_bounded_width(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """Decide ``Q1 ⊆ Q2`` via the treewidth DP on ``D_{Q2}``.
 
     Polynomial whenever ``Q2`` has bounded treewidth (Theorem 5.4 applied
     to the containment instance); always correct (the DP is exact at any
     width, just exponential in it).  The canonical databases come from the
-    compiled query plane, so repeated probes reuse one build; ``engine``
-    selects the compiled or legacy DP.
+    compiled query plane, so repeated probes reuse one build.
     """
     check_compatible(q1, q2)
     union = q1.vocabulary.union(q2.vocabulary)
     source = compile_query(q2).canonical_for(union)
     target = compile_query(q1).canonical_for(union)
     decomposition = decompose(source)
-    return (
-        solve_by_treewidth(source, target, decomposition, engine=engine)
-        is not None
-    )
+    return solve_by_treewidth(source, target, decomposition) is not None

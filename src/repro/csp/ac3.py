@@ -8,22 +8,20 @@ k-consistency family implemented in :mod:`repro.pebble.kconsistency` — and
 the standard preprocessing step of the AI solvers the paper's introduction
 cites [Dec92, Kum92].
 
-By default the propagation runs on the compiled bitset kernel
+The propagation runs on the compiled bitset kernel
 (:mod:`repro.kernel.propagate`): integer-indexed domains, precompiled
 ``(relation, position, value)`` support bitsets, AC-2001-style residual
-last supports.  The original rescan loop below remains the reference
-semantics, selectable with ``engine="legacy"``; both compute the same
-(unique) arc-consistent closure.
+last supports.  It computes the same (unique) arc-consistent closure
+as the AC-3 rescan loop of ``reference/homomorphism.py``, which the
+parity suite holds it to.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable
 
 from repro.exceptions import VocabularyError
 from repro.kernel.compile import compile_source, compile_target
-from repro.kernel.engine import LEGACY, resolve_engine
 from repro.kernel.propagate import propagate
 from repro.structures.structure import Structure
 
@@ -37,8 +35,6 @@ def establish_arc_consistency(
     source: Structure,
     target: Structure,
     domains: Domains | None = None,
-    *,
-    engine: str | None = None,
 ) -> Domains | None:
     """Prune domains to (generalized) arc consistency.
 
@@ -48,8 +44,6 @@ def establish_arc_consistency(
     """
     if source.vocabulary != target.vocabulary:
         raise VocabularyError("instance structures must share a vocabulary")
-    if resolve_engine(engine) == LEGACY:
-        return _establish_legacy(source, target, domains)
 
     csource = compile_source(source)
     ctarget = compile_target(target)
@@ -103,49 +97,3 @@ def establish_arc_consistency(
             result[element] = set(given)
     return result
 
-
-def _establish_legacy(
-    source: Structure,
-    target: Structure,
-    domains: Domains | None = None,
-) -> Domains | None:
-    """The reference AC-3 rescan loop (the kernel's parity oracle)."""
-    if domains is None:
-        domains = {e: set(target.universe) for e in source.universe}
-    else:
-        domains = {e: set(values) for e, values in domains.items()}
-
-    facts = list(source.facts())
-    touching: dict[Element, list[int]] = {}
-    for index, (_name, fact) in enumerate(facts):
-        for element in set(fact):
-            touching.setdefault(element, []).append(index)
-
-    queue: deque[int] = deque(range(len(facts)))
-    queued = set(queue)
-
-    while queue:
-        index = queue.popleft()
-        queued.discard(index)
-        name, fact = facts[index]
-        relation = target.relation(name)
-        supported = [
-            t
-            for t in relation
-            if all(t[i] in domains[fact[i]] for i in range(len(fact)))
-        ]
-        for position, element in enumerate(fact):
-            values = {t[position] for t in supported}
-            if domains[element] <= values:
-                continue
-            domains[element] &= values
-            if not domains[element]:
-                return None
-            # Re-enqueue every fact touching the pruned element — including
-            # this one: pruning position i can retract support for position
-            # j of the same fact.
-            for other in touching.get(element, ()):
-                if other not in queued:
-                    queue.append(other)
-                    queued.add(other)
-    return domains

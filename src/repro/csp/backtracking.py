@@ -6,25 +6,21 @@ standard AI toolkit: optional arc-consistency preprocessing, a degree
 is the NP-complete general-case baseline against which every tractable
 class in the paper is benchmarked.
 
-On the default kernel engine the facade runs end-to-end on the compiled
-bitset representation: one compilation (memoized per structure) feeds the
-GAC preprocessing pass *and* the search, and the propagated domains are
-kept for the search instead of being recomputed.  ``engine="legacy"``
-restores the reference behaviour — AC-3 used purely as a bail-out, then
-a from-scratch search — as the parity oracle.
+The facade runs end-to-end on the compiled bitset representation: one
+compilation (memoized per structure) feeds the GAC preprocessing pass
+*and* the search, and the propagated domains are kept for the search
+instead of being recomputed.
 """
 
 from __future__ import annotations
 
 from typing import Hashable
 
-from repro.csp.ac3 import establish_arc_consistency
 from repro.csp.instance import CSPInstance
 from repro.exceptions import VocabularyError
 from repro.kernel.compile import compile_source
-from repro.kernel.engine import LEGACY, resolve_engine
 from repro.kernel.search import solve as kernel_solve
-from repro.structures.homomorphism import SearchStats, find_homomorphism
+from repro.structures.homomorphism import SearchStats
 from repro.structures.structure import Structure
 
 __all__ = ["solve_backtracking", "solve_instance", "degree_order"]
@@ -50,27 +46,14 @@ def solve_backtracking(
     preprocess: bool = True,
     use_degree_order: bool = False,
     stats: SearchStats | None = None,
-    engine: str | None = None,
 ) -> dict[Element, Element] | None:
     """Find a homomorphism with the generic backtracking solver.
 
-    ``preprocess=True`` runs (generalized) arc consistency first and bails
-    out early on a wipe-out.  ``use_degree_order=True`` replaces the
-    dynamic MRV ordering with the static degree heuristic.  On the kernel
-    engine the arc-consistent domains also seed the search.
+    ``preprocess=True`` runs (generalized) arc consistency first, bails
+    out early on a wipe-out, and seeds the search with the arc-consistent
+    domains.  ``use_degree_order=True`` replaces the dynamic MRV ordering
+    with the static degree heuristic.
     """
-    if resolve_engine(engine) == LEGACY:
-        if preprocess:
-            domains = establish_arc_consistency(
-                source, target, engine=LEGACY
-            )
-            if domains is None:
-                return None
-        order = degree_order(source) if use_degree_order else None
-        return find_homomorphism(
-            source, target, order=order, stats=stats, engine=LEGACY
-        )
-
     if source.vocabulary != target.vocabulary:
         raise VocabularyError("instance structures must share a vocabulary")
     if source.universe and not target.universe:

@@ -31,7 +31,7 @@ from typing import Hashable
 from repro.cq.query import Atom
 from repro.datalog.program import DatalogProgram, Rule
 from repro.kernel.compile import CompiledTarget, compile_target
-from repro.kernel.engine import KERNEL, resolve_engine
+from repro.kernel.pebblek import spoiler_wins_k
 from repro.structures.structure import Structure
 
 __all__ = ["canonical_program", "canonical_refutes", "GOAL_NAME"]
@@ -149,8 +149,6 @@ def canonical_refutes(
     source: Structure,
     target: Structure | CompiledTarget,
     k: int,
-    *,
-    engine: str | None = None,
 ) -> bool:
     """Does the canonical program ρ_B derive its goal on ``source``?
 
@@ -158,26 +156,18 @@ def canonical_refutes(
     direction); ``False`` means the Duplicator survives and the answer
     needs a complete engine.
 
-    This is the Theorem 4.2 identity made executable in both directions:
-    ρ_B derives ``S`` on A **iff** the Spoiler wins the existential
-    k-pebble game on (A, B).  The kernel engine therefore never
-    materializes the |B|^k-rule program at all — it plays the compiled
-    game (:func:`repro.kernel.pebblek.spoiler_wins_k`) on the original
-    target, which is the whole point of routing the decision through the
-    theorem.  The legacy engine builds ρ_B and evaluates it bottom-up,
-    serving as the parity oracle for the identity itself.
+    This is the Theorem 4.2 identity made executable: ρ_B derives ``S``
+    on A **iff** the Spoiler wins the existential k-pebble game on
+    (A, B).  So the decision never materializes the |B|^k-rule program
+    at all — it plays the compiled game
+    (:func:`repro.kernel.pebblek.spoiler_wins_k`) on the original target,
+    which is the whole point of routing the decision through the theorem.
+    The parity suites check the identity itself against ρ_B built and
+    evaluated bottom-up by ``reference/datalog.py``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     ctarget = compile_target(target)
     if not ctarget.values:
         raise ValueError("canonical program needs a non-empty target")
-    if resolve_engine(engine) == KERNEL:
-        from repro.kernel.pebblek import spoiler_wins_k
-
-        return spoiler_wins_k(source, ctarget, k)
-    from repro.datalog.evaluation import goal_holds
-
-    return goal_holds(
-        canonical_program(ctarget.structure, k), source, engine="legacy"
-    )
+    return spoiler_wins_k(source, ctarget, k)

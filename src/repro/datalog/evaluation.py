@@ -14,87 +14,17 @@ LFP formula of Theorem 4.7.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable
 
-from repro.cq.query import Atom
-from repro.datalog.program import DatalogProgram, Rule
-from repro.exceptions import DatalogError
-from repro.kernel.engine import KERNEL, resolve_engine
-from repro.structures.structure import Structure, _sort_key
+from repro.datalog.program import DatalogProgram
+from repro.kernel.datalogk import datalog_goal_holds, evaluate_datalog
+from repro.structures.structure import Structure
 
-__all__ = [
-    "evaluate_program",
-    "goal_holds",
-    "immediate_consequences",
-    "Database",
-]
+__all__ = ["evaluate_program", "goal_holds", "Database"]
 
 Element = Hashable
 Row = tuple[Element, ...]
 Database = dict[str, set[Row]]
-
-
-def _match_atom(
-    atom: Atom,
-    relation: Iterable[Row],
-    bindings: list[dict[str, Element]],
-) -> list[dict[str, Element]]:
-    """Extend each binding with matches of ``atom`` against ``relation``."""
-    extended: list[dict[str, Element]] = []
-    rows = list(relation)
-    for binding in bindings:
-        for row in rows:
-            candidate = dict(binding)
-            ok = True
-            for term, value in zip(atom.terms, row):
-                existing = candidate.get(term)
-                if existing is None:
-                    candidate[term] = value
-                elif existing != value:
-                    ok = False
-                    break
-            if ok:
-                extended.append(candidate)
-    return extended
-
-
-def _fire_rule(
-    rule: Rule,
-    relations: Mapping[str, set[Row]],
-    domain: list[Element],
-    delta_focus: tuple[int, set[Row]] | None,
-) -> set[Row]:
-    """All head tuples derivable by one rule.
-
-    ``delta_focus = (body index, delta rows)`` restricts that one body atom
-    to the newly derived rows (the semi-naive trick); ``None`` evaluates
-    the rule in full.
-    """
-    bindings: list[dict[str, Element]] = [{}]
-    for index, atom in enumerate(rule.body):
-        if delta_focus is not None and index == delta_focus[0]:
-            rows: Iterable[Row] = delta_focus[1]
-        else:
-            rows = relations.get(atom.relation, set())
-        bindings = _match_atom(atom, rows, bindings)
-        if not bindings:
-            return set()
-
-    unsafe = sorted(rule.unsafe_variables)
-    derived: set[Row] = set()
-    for binding in bindings:
-        assignments = [binding]
-        for variable in unsafe:
-            assignments = [
-                {**assignment, variable: value}
-                for assignment in assignments
-                for value in domain
-            ]
-        for assignment in assignments:
-            derived.add(
-                tuple(assignment[t] for t in rule.head.terms)
-            )
-    return derived
 
 
 def evaluate_program(
@@ -102,7 +32,6 @@ def evaluate_program(
     structure: Structure,
     *,
     method: str = "semi_naive",
-    engine: str | None = None,
 ) -> Database:
     """Compute the least fixed point of the program on ``structure``.
 
@@ -111,115 +40,17 @@ def evaluate_program(
     set of facts.  ``method`` selects ``"semi_naive"`` (default) or
     ``"naive"`` (every rule re-fired in full each round; kept as the
     ablation baseline for experiment A4 — both must compute the same
-    fixpoint).  ``engine`` follows the library-wide flag: the compiled
-    bitset evaluator (:mod:`repro.kernel.datalogk`) by default, this
-    module's reference loops with ``engine="legacy"`` — both return the
-    identical database (the parity suites assert fact-for-fact equality).
+    fixpoint).  Evaluation runs on the compiled bitset evaluator
+    (:mod:`repro.kernel.datalogk`); the parity suites hold it to the
+    reference loops of ``reference/datalog.py``, fact for fact.
     """
-    if resolve_engine(engine) == KERNEL:
-        from repro.kernel.datalogk import evaluate_datalog
-
-        return evaluate_datalog(program, structure, method=method)
-    if method not in ("semi_naive", "naive"):
-        raise DatalogError(f"unknown evaluation method {method!r}")
-    relations: Database = {}
-    for symbol, rel in structure.relations():
-        expected = program._arities.get(symbol.name)
-        if expected is not None and expected != symbol.arity:
-            raise DatalogError(
-                f"EDB predicate {symbol.name!r} has arity {symbol.arity} "
-                f"in the structure but {expected} in the program"
-            )
-        relations[symbol.name] = set(rel)
-    for predicate in program.idb_predicates:
-        if predicate in relations and relations[predicate]:
-            raise DatalogError(
-                f"IDB predicate {predicate!r} already populated by the "
-                "input structure"
-            )
-        relations.setdefault(predicate, set())
-    for predicate in program.edb_predicates:
-        relations.setdefault(predicate, set())
-
-    domain = sorted(structure.universe, key=_sort_key)
-
-    if method == "naive":
-        changed = True
-        while changed:
-            changed = False
-            for rule in program.rules:
-                new = _fire_rule(rule, relations, domain, None)
-                fresh = new - relations[rule.head.relation]
-                if fresh:
-                    relations[rule.head.relation] |= fresh
-                    changed = True
-        return relations
-
-    # Round 0: fire every rule in full.
-    delta: Database = {p: set() for p in program.idb_predicates}
-    for rule in program.rules:
-        new = _fire_rule(rule, relations, domain, None)
-        fresh = new - relations[rule.head.relation]
-        relations[rule.head.relation] |= fresh
-        delta[rule.head.relation] |= fresh
-
-    # Semi-naive rounds: a rule re-fires once per body atom whose predicate
-    # changed, with that atom restricted to the delta.
-    while any(delta.values()):
-        next_delta: Database = {p: set() for p in program.idb_predicates}
-        for rule in program.rules:
-            for index, atom in enumerate(rule.body):
-                changed = delta.get(atom.relation)
-                if not changed:
-                    continue
-                new = _fire_rule(
-                    rule, relations, domain, (index, changed)
-                )
-                fresh = new - relations[rule.head.relation]
-                relations[rule.head.relation] |= fresh
-                next_delta[rule.head.relation] |= fresh
-        delta = next_delta
-    return relations
+    return evaluate_datalog(program, structure, method=method)
 
 
-def goal_holds(
-    program: DatalogProgram,
-    structure: Structure,
-    *,
-    engine: str | None = None,
-) -> bool:
+def goal_holds(program: DatalogProgram, structure: Structure) -> bool:
     """Truth of the (0-ary or n-ary) goal: non-emptiness of its relation.
 
-    The kernel engine stops its fixpoint run the moment the goal derives
-    (sound: evaluation is monotone); the legacy engine computes the full
-    fixpoint first.  The verdicts are identical either way.
+    The fixpoint run stops the moment the goal derives (sound:
+    evaluation is monotone).
     """
-    if resolve_engine(engine) == KERNEL:
-        from repro.kernel.datalogk import datalog_goal_holds
-
-        return datalog_goal_holds(program, structure)
-    relations = evaluate_program(program, structure, engine="legacy")
-    return bool(relations[program.goal])
-
-
-def immediate_consequences(
-    program: DatalogProgram,
-    database: Mapping[str, set[Row]],
-    domain: Iterable[Element],
-) -> Database:
-    """One application of the immediate-consequence operator T_P.
-
-    Fires every rule once against ``database`` (unsafe head variables
-    ranging over ``domain``) and returns the derived facts per IDB
-    predicate.  The least fixed point is exactly the T_P-closed superset
-    of the EDB — the property suite uses this to check idempotence:
-    applying T_P to :func:`evaluate_program`'s output derives nothing
-    outside it.
-    """
-    derived: Database = {p: set() for p in program.idb_predicates}
-    ordered = sorted(domain, key=_sort_key)
-    for rule in program.rules:
-        derived[rule.head.relation] |= _fire_rule(
-            rule, database, ordered, None
-        )
-    return derived
+    return datalog_goal_holds(program, structure)

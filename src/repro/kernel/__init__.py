@@ -19,9 +19,9 @@ problem:
   mode behind ``count_homomorphisms``;
 * :mod:`repro.kernel.corek` — the core/retraction engine: endomorphism
   search into masked substructures (per-candidate valid-tuple masks and
-  restricted domains instead of materialized substructures), behind the
-  engine flag of :mod:`repro.structures.product` — the hot path of
-  conjunctive-query minimization;
+  restricted domains instead of materialized substructures), behind
+  :mod:`repro.structures.product` — the hot path of conjunctive-query
+  minimization;
 * :mod:`repro.kernel.decomp` — the Theorem 5.4 dynamic program compiled
   to int-coded bag tables over a nice tree decomposition, with
   support-bitset semijoins and top-down witness reconstruction;
@@ -37,9 +37,11 @@ problem:
 * :mod:`repro.kernel.estimate` — the width-aware planner: cheap cost
   models over compiled sizes, width and Gaifman-degree estimates, and
   the search/DP/pebble/datalog route choice the pipeline's planner
-  strategy and the solve service's thread/process routing consume;
-* :mod:`repro.kernel.engine` — the kernel/legacy flag keeping the
-  reference implementations available as the parity oracle.
+  strategy and the solve service's thread/process routing consume.
+
+The kernel is the only engine on every path.  The pure-dict reference
+implementations it is held to live in the top-level ``reference``
+package, which only tests and benchmarks import.
 """
 
 from repro.kernel.compile import (
@@ -48,14 +50,6 @@ from repro.kernel.compile import (
     compile_source,
     compile_target,
     initial_domains,
-)
-from repro.kernel.engine import (
-    KERNEL,
-    LEGACY,
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-    use_engine,
 )
 from repro.kernel.corek import core_structure, is_core_structure, retraction
 from repro.kernel.datalogk import (
@@ -76,8 +70,6 @@ from repro.kernel.propagate import propagate
 from repro.kernel.search import count_solutions, search_homomorphisms, solve
 
 __all__ = [
-    "KERNEL",
-    "LEGACY",
     "CompiledDatalog",
     "CompiledSource",
     "CompiledTarget",
@@ -89,7 +81,6 @@ __all__ = [
     "count_solutions",
     "datalog_goal_holds",
     "decomposition_exists",
-    "default_engine",
     "estimate_cost",
     "evaluate_datalog",
     "initial_domains",
@@ -98,13 +89,10 @@ __all__ = [
     "pebble_game_family",
     "plan_instance",
     "propagate",
-    "resolve_engine",
     "retraction",
     "search_homomorphisms",
-    "set_default_engine",
     "solve",
     "solve_decomposition",
     "spoiler_wins_k",
     "spoiler_wins_k2",
-    "use_engine",
 ]

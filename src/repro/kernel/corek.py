@@ -1,6 +1,6 @@
 """The compiled core/retraction engine: bitset endomorphism search.
 
-The legacy core loop (:func:`repro.structures.product.core`) looks for an
+The reference core loop (``reference/homomorphism.py``) looks for an
 endomorphism of ``A`` missing some element ``v`` by *materializing* the
 induced substructure ``A∖{v}`` and searching ``A → A∖{v}`` — one fresh
 ``Structure`` (plus a fresh solver setup) per candidate element per
@@ -20,9 +20,9 @@ kernel without ever building a substructure:
 Because the masked state equals the restricted instance's state value
 for value (same domains, same surviving tuples, same variable/value
 order), the search visits the same tree and returns the *same*
-endomorphism as the legacy loop — the randomized parity suite
-(``tests/test_query_parity.py``) holds the two engines to identical
-cores, not merely isomorphic ones.
+endomorphism as the reference loop — the randomized parity suite
+(``tests/test_query_parity.py``) holds the two to identical cores, not
+merely isomorphic ones.
 
 Cores of canonical databases are minimal conjunctive queries
 (Chandra–Merlin); this engine is what makes repeated query minimization
@@ -115,7 +115,7 @@ def _first_endomorphism(
 def core_structure(a: Structure) -> Structure:
     """The core of ``A`` on the compiled kernel.
 
-    Same shrink loop as the legacy :func:`repro.structures.product.core`
+    Same shrink loop as the reference core loop
     — look for an endomorphism missing some element, shrink to its
     image, repeat — but each round compiles ``A`` once and tries every
     candidate element by masking instead of materializing ``|A|``

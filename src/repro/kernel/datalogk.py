@@ -1,6 +1,6 @@
 """Semi-naive Datalog evaluation compiled to bitset delta tables.
 
-The legacy engine (:mod:`repro.datalog.evaluation`) joins rule bodies by
+The reference evaluator (``reference/datalog.py``) joins rule bodies by
 extending lists of Python dicts, one dict copy per (binding, fact) probe.
 This module lowers the same least-fixpoint computation onto the kernel's
 integer encodings (:mod:`repro.kernel.compile`):
@@ -8,7 +8,7 @@ integer encodings (:mod:`repro.kernel.compile`):
 * a **fact** of an r-ary predicate is one bit: its mixed-radix code
   ``Σ_p value_p · n^p`` over the target compilation's element indices
   (``CompiledTarget.values`` order — the same deterministic ``_sort_key``
-  order the legacy evaluator sorts its active domain by), so a relation
+  order the reference evaluator sorts its active domain by), so a relation
   is a single Python int and the semi-naive *delta* is a bit-difference;
 * a **rule body** is decided over the mixed-radix *binding space*
   ``n^v`` of its ``v`` distinct variables: each atom contributes an
@@ -27,9 +27,9 @@ integer encodings (:mod:`repro.kernel.compile`):
   offsets-mask shift instead of an enumeration.
 
 The fixpoint is the least model either way, so the decoded database
-equals the legacy evaluator's output *exactly* — dict for dict, fact for
-fact — which is what lets :mod:`repro.datalog.evaluation` delegate here
-behind the engine flag with legacy as the parity oracle.  The
+equals the reference evaluator's output *exactly* — dict for dict, fact
+for fact — which the parity suites assert; :mod:`repro.datalog.evaluation`
+delegates here.  The
 per-program compilation (digit masks, scopes, head weights) depends only
 on the program and the universe size, and is memoized on the program
 object, so template workloads — one canonical program ρ_B evaluated
@@ -71,7 +71,7 @@ MAX_TABLE_CELLS = int(os.environ.get("REPRO_MAX_TABLE_CELLS", 1 << 28))
 
 Element = Hashable
 Row = tuple[Element, ...]
-#: The legacy evaluator's return shape (``repro.datalog.evaluation``).
+#: The return shape of ``repro.datalog.evaluation.evaluate_program``.
 Database = dict[str, set[Row]]
 
 _budget_log = get_logger("kernel")
@@ -423,7 +423,7 @@ class _Evaluation:
         # space can run long, so the deadline is tested once per round.
         token = current_token()
         # Round 0: every rule in full (IDB relations start empty, so this
-        # is the exact base of the legacy round 0).
+        # is the exact base of the reference round 0).
         for ri, crule in enumerate(cp.rules):
             if token is not None:
                 token.check()
@@ -518,7 +518,7 @@ def evaluate_datalog(
     *,
     method: str = "semi_naive",
 ) -> Database:
-    """The least fixed point on ``structure``, decoded to the legacy shape.
+    """The least fixed point on ``structure``, decoded to dict form.
 
     Exactly the dict :func:`repro.datalog.evaluation.evaluate_program`
     returns — every structure relation passed through, every program

@@ -1,6 +1,6 @@
 """Compiled dynamic programming over tree decompositions (Theorem 5.4).
 
-The legacy :func:`repro.treewidth.dp.solve_by_treewidth` enumerates every
+The reference DP (``reference/homomorphism.py``) enumerates every
 bag map with ``itertools.product`` and stores tables as sets of sorted
 ``(element, value)`` tuples — dict churn on the innermost loop.  This
 module runs the same dynamic program on the kernel's integer-indexed
@@ -28,7 +28,7 @@ compiled structures instead:
 * **join** intersects the two children's code sets directly.
 
 Tables only ever hold satisfying bag assignments, so the answer — and
-the reconstructed witness — agrees with the legacy DP on every instance
+the reconstructed witness — agrees with the reference DP on every instance
 (the randomized suite in ``tests/test_decomp_parity.py`` holds both, and
 the kernel search, to that agreement).  Worst-case size per table is
 ``m^{w+1}`` — the Theorem 5.4 bound — reached only on unconstrained
@@ -210,9 +210,8 @@ def solve_decomposition(
 ) -> dict[Element, Element] | None:
     """Find a homomorphism ``source → target`` by the compiled bag-table DP.
 
-    Drop-in kernel equivalent of the legacy
-    :func:`repro.treewidth.dp.solve_by_treewidth`: same validation, same
-    edge cases, same existence verdict on every instance (witnesses are
+    The engine behind :func:`repro.treewidth.dp.solve_by_treewidth`,
+    held to the reference DP: same validation, same edge cases, same existence verdict on every instance (witnesses are
     valid homomorphisms but may differ element-wise).  ``decomposition``
     defaults to the memoized min-fill decomposition of the source.
 

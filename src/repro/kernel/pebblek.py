@@ -1,9 +1,8 @@
 """The generalized existential k-pebble game on compiled bitsets.
 
-The legacy fixpoints — :func:`repro.pebble.game.solve_pebble_game`
-deleting frozenset maps, :func:`repro.pebble.kconsistency.consistency_tables`
-filtering per-domain sets of image tuples — rebuild dicts in their inner
-loops.  This module computes the same greatest forth-closed family
+The reference fixpoints (``reference/homomorphism.py``) — one deleting
+frozenset maps, one filtering per-domain sets of image tuples — rebuild
+dicts in their inner loops.  This module computes the same greatest forth-closed family
 (Theorem 4.7.1) for *any* ``k`` on the compiled representation,
 replacing the old ``k = 2``-only ``pebble2`` fast path:
 
@@ -32,9 +31,9 @@ down to a singleton and kills the empty map's forth property —
 equivalently, in the family formulation, the empty map dies).  The
 fixpoint is the greatest family satisfying the same closure conditions
 the references enforce, so the decoded family and tables agree with
-both legacy implementations *exactly*, map for map — which is what lets
-:mod:`repro.pebble.game` and :mod:`repro.pebble.kconsistency` delegate
-here behind the engine flag while remaining each other's parity oracle.
+both reference implementations *exactly*, map for map, which the parity
+suites assert; :mod:`repro.pebble.game` and :mod:`repro.pebble.kconsistency`
+delegate here.
 """
 
 from __future__ import annotations
@@ -313,7 +312,7 @@ def spoiler_wins_k(
 
     Agrees with :func:`repro.pebble.game.spoiler_wins` on every instance
     and every ``k`` — the generic compiled engine behind the pebble
-    strategy and the kernel paths of :mod:`repro.pebble`.
+    strategy and :mod:`repro.pebble`.
     """
     kind, _ctarget, _result = _tables(source, target, k)
     return kind in ("empty-target", "wipeout")

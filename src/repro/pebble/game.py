@@ -23,22 +23,18 @@ Key consequences implemented here and cross-checked in the tests:
   the Spoiler wins iff there is no homomorphism — the game *solves* the
   CSP, which is how the uniform algorithm of Theorem 4.9 works.
 
-Two engines compute the fixpoint.  The default is the generalized
-compiled k-pebble engine (:mod:`repro.kernel.pebblek` — bitset tables
-over ≤ k-subassignments, worklist propagation with residuals), which
-produces the *identical* greatest family; the deletion loop below stays
-as the parity oracle, selectable per call with ``engine="legacy"`` or
-process-wide via :func:`repro.kernel.set_default_engine` / the
-``REPRO_ENGINE`` environment variable.
+The fixpoint runs on the generalized compiled k-pebble engine
+(:mod:`repro.kernel.pebblek` — bitset tables over ≤ k-subassignments,
+worklist propagation with residuals).  The parity suite holds it to
+the deletion loop of ``reference/homomorphism.py``: the *identical*
+greatest family, map for map.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
 from typing import Hashable
 
-from repro.exceptions import VocabularyError
-from repro.kernel.engine import LEGACY, resolve_engine
+from repro.kernel.pebblek import pebble_game_family, spoiler_wins_k
 from repro.structures.structure import Structure
 
 __all__ = [
@@ -51,18 +47,6 @@ __all__ = [
 
 Element = Hashable
 PartialMap = frozenset[tuple[Element, Element]]
-
-
-def _is_partial_homomorphism(
-    mapping: dict[Element, Element], source: Structure, target: Structure
-) -> bool:
-    """Homomorphism condition on the substructure induced by the domain."""
-    domain = mapping.keys()
-    for name, fact in source.facts():
-        if all(e in domain for e in fact):
-            if tuple(mapping[e] for e in fact) not in target.relation(name):
-                return False
-    return True
 
 
 class PebbleGameResult:
@@ -88,97 +72,31 @@ class PebbleGameResult:
 
 
 def solve_pebble_game(
-    source: Structure, target: Structure, k: int, *, engine: str | None = None
+    source: Structure, target: Structure, k: int
 ) -> PebbleGameResult:
     """Compute the greatest forth-closed family (Theorem 4.7.1).
 
     Worst-case O(n^{2k}) states; intended for the small fixed ``k`` regime
-    the paper studies.  Both engines return the same family, map for map.
+    the paper studies.
     """
-    if source.vocabulary != target.vocabulary:
-        raise VocabularyError("pebble game requires a common vocabulary")
-    if k < 1:
-        raise ValueError("need at least one pebble")
-    if resolve_engine(engine) != LEGACY:
-        from repro.kernel.pebblek import pebble_game_family
-
-        return PebbleGameResult(k, pebble_game_family(source, target, k))
-
-    elements = source.sorted_universe
-    values = target.sorted_universe
-
-    # All partial homomorphisms with |dom| <= k.
-    family: set[PartialMap] = set()
-    for size in range(0, min(k, len(elements)) + 1):
-        for domain in combinations(elements, size):
-            for image in product(values, repeat=size):
-                mapping = dict(zip(domain, image))
-                if _is_partial_homomorphism(mapping, source, target):
-                    family.add(frozenset(mapping.items()))
-
-    if not values and elements:
-        return PebbleGameResult(k, set())
-
-    # Delete until fixpoint.  A function dies when (a) one of its one-step
-    # restrictions is dead, or (b) it is small and some element admits no
-    # surviving extension.
-    changed = True
-    while changed:
-        changed = False
-        for f in list(family):
-            if f not in family:
-                continue
-            items = dict(f)
-            # (a) restriction-closure.
-            dead = False
-            for key in items:
-                restriction = frozenset(
-                    (a, b) for a, b in f if a != key
-                )
-                if restriction not in family:
-                    dead = True
-                    break
-            # (b) forth property.
-            if not dead and len(items) < k:
-                for a in elements:
-                    if a in items:
-                        continue
-                    if not any(
-                        f | {(a, b)} in family for b in values
-                    ):
-                        dead = True
-                        break
-            if dead:
-                family.discard(f)
-                changed = True
-    return PebbleGameResult(k, family)
+    return PebbleGameResult(k, pebble_game_family(source, target, k))
 
 
-def duplicator_wins(
-    source: Structure, target: Structure, k: int, *, engine: str | None = None
-) -> bool:
-    """Whether the Duplicator wins the existential k-pebble game."""
-    if resolve_engine(engine) != LEGACY:
-        # Decision only: the kernel engine skips the family decode.
-        if source.vocabulary != target.vocabulary:
-            raise VocabularyError("pebble game requires a common vocabulary")
-        if k < 1:
-            raise ValueError("need at least one pebble")
-        from repro.kernel.pebblek import spoiler_wins_k
+def duplicator_wins(source: Structure, target: Structure, k: int) -> bool:
+    """Whether the Duplicator wins the existential k-pebble game.
 
-        return not spoiler_wins_k(source, target, k)
-    return solve_pebble_game(source, target, k, engine=engine).duplicator_wins
+    Decision only: skips the family decode.
+    """
+    return not spoiler_wins_k(source, target, k)
 
 
-def spoiler_wins(
-    source: Structure, target: Structure, k: int, *, engine: str | None = None
-) -> bool:
+def spoiler_wins(source: Structure, target: Structure, k: int) -> bool:
     """Whether the Spoiler wins the existential k-pebble game."""
-    return not duplicator_wins(source, target, k, engine=engine)
+    return not duplicator_wins(source, target, k)
 
 
 def kconsistency_closure(
-    source: Structure, target: Structure, k: int, *, engine: str | None = None
+    source: Structure, target: Structure, k: int
 ) -> set[PartialMap]:
     """The surviving family itself — the strong-k-consistency closure.
 
@@ -187,4 +105,4 @@ def kconsistency_closure(
     empty, which is sound and complete whenever cCSP(B) is expressible in
     k-Datalog (Theorem 4.8).
     """
-    return solve_pebble_game(source, target, k, engine=engine).family
+    return solve_pebble_game(source, target, k).family

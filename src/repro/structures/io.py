@@ -14,7 +14,7 @@ encodings) can still be round-tripped through :func:`structure_to_dict` /
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Any, Hashable, Mapping
 
 from repro.exceptions import ParseError
 from repro.structures.structure import Structure
@@ -52,15 +52,41 @@ def structure_to_dict(structure: Structure) -> dict[str, Any]:
     }
 
 
+def _sequence(value: Any, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"malformed structure dict: {what} must be a list")
+    return value
+
+
 def structure_from_dict(data: dict[str, Any]) -> Structure:
-    """Inverse of :func:`structure_to_dict`."""
+    """Inverse of :func:`structure_to_dict`.
+
+    Raises :class:`ParseError` on any shape error — a non-mapping
+    vocabulary or relations, a universe, fact list or fact that is not a
+    list — and :class:`VocabularyError` on a bad symbol or fact width.
+    A string is never iterated into its characters.
+    """
     try:
-        vocabulary = Vocabulary.from_arities(data["vocabulary"])
+        arities = data["vocabulary"]
+        raw_relations = data.get("relations", {})
+        if not isinstance(arities, Mapping):
+            raise ParseError(
+                "malformed structure dict: vocabulary must be a mapping"
+            )
+        if not isinstance(raw_relations, Mapping):
+            raise ParseError(
+                "malformed structure dict: relations must be a mapping"
+            )
+        vocabulary = Vocabulary.from_arities(arities)
         relations = {
-            name: {tuple(fact) for fact in facts}
-            for name, facts in data.get("relations", {}).items()
+            name: {
+                tuple(_sequence(fact, f"a fact of {name!r}"))
+                for fact in _sequence(facts, f"the facts of {name!r}")
+            }
+            for name, facts in raw_relations.items()
         }
-        return Structure(vocabulary, data.get("universe", ()), relations)
+        universe = _sequence(data.get("universe", ()), "universe")
+        return Structure(vocabulary, universe, relations)
     except (KeyError, TypeError) as error:
         raise ParseError(f"malformed structure dict: {error}") from error
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.exceptions import VocabularyError
-from repro.kernel.engine import LEGACY, resolve_engine
-from repro.structures.homomorphism import find_homomorphism
-from repro.structures.structure import Structure, _sort_key
+from repro.kernel.corek import core_structure, is_core_structure, retraction
+from repro.structures.structure import Structure
 
 __all__ = [
     "disjoint_union",
@@ -80,30 +79,19 @@ def power(a: Structure, exponent: int) -> Structure:
 
 
 def retract_onto(
-    a: Structure,
-    elements: frozenset[Element] | set[Element],
-    *,
-    engine: str | None = None,
+    a: Structure, elements: frozenset[Element] | set[Element]
 ) -> dict[Element, Element] | None:
     """A retraction of ``A`` onto the substructure induced by ``elements``.
 
     A retraction is a homomorphism ``A → A`` that fixes ``elements``
     pointwise and whose image lies inside ``elements``.  Returns the map or
-    ``None`` when no retraction exists.  The kernel engine (default)
-    searches with masked domains instead of materializing the induced
-    substructure; both engines return the same map.
+    ``None`` when no retraction exists.  The kernel searches with masked
+    domains instead of materializing the induced substructure.
     """
-    if resolve_engine(engine) != LEGACY:
-        from repro.kernel.corek import retraction
-
-        return retraction(a, elements)
-    target = a.restrict(elements)
-    return find_homomorphism(
-        a, target, fixed={e: e for e in elements}, engine=LEGACY
-    )
+    return retraction(a, elements)
 
 
-def core(a: Structure, *, engine: str | None = None) -> Structure:
+def core(a: Structure) -> Structure:
     """The core of ``A``: a minimum homomorphically-equivalent substructure.
 
     Repeatedly look for an endomorphism missing some element — i.e. a
@@ -115,43 +103,17 @@ def core(a: Structure, *, engine: str | None = None) -> Structure:
     the paper, via Chandra–Merlin).
 
     Worst-case exponential (deciding core-ness is NP-hard), fine for the
-    query-minimization workloads in this library.  ``engine`` selects the
-    compiled bitset engine (:mod:`repro.kernel.corek`, the default) or
-    this module's reference loop; they return the *identical* core, since
-    the kernel's masked search visits the same tree as the reference
-    search against the materialized substructures.
+    query-minimization workloads in this library.  Runs on the compiled
+    bitset engine (:mod:`repro.kernel.corek`), whose masked search visits
+    the same tree as a search against the materialized substructures.
     """
-    if resolve_engine(engine) != LEGACY:
-        from repro.kernel.corek import core_structure
-
-        return core_structure(a)
-    current = a
-    changed = True
-    while changed:
-        changed = False
-        for dropped in sorted(current.universe, key=_sort_key):
-            smaller = current.restrict(current.universe - {dropped})
-            h = find_homomorphism(current, smaller, engine=LEGACY)
-            if h is not None:
-                current = current.restrict(set(h.values()))
-                changed = True
-                break
-    return current
+    return core_structure(a)
 
 
-def is_core(a: Structure, *, engine: str | None = None) -> bool:
+def is_core(a: Structure) -> bool:
     """True when ``A`` admits no homomorphism into a proper substructure.
 
     Equivalently (for finite structures), every endomorphism of ``A`` is
-    an automorphism.  ``engine`` selects the kernel or the reference
-    loop, as in :func:`core`.
+    an automorphism.
     """
-    if resolve_engine(engine) != LEGACY:
-        from repro.kernel.corek import is_core_structure
-
-        return is_core_structure(a)
-    for dropped in sorted(a.universe, key=_sort_key):
-        smaller = a.restrict(a.universe - {dropped})
-        if find_homomorphism(a, smaller, engine=LEGACY) is not None:
-            return False
-    return True
+    return is_core_structure(a)

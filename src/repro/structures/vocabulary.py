@@ -32,6 +32,11 @@ class RelationSymbol:
     def __post_init__(self) -> None:
         if not self.name:
             raise VocabularyError("relation symbol name must be non-empty")
+        if not isinstance(self.arity, int) or isinstance(self.arity, bool):
+            raise VocabularyError(
+                f"relation symbol {self.name!r} has non-integer arity "
+                f"{self.arity!r}"
+            )
         if self.arity < 0:
             raise VocabularyError(
                 f"relation symbol {self.name!r} has negative arity {self.arity}"

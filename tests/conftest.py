@@ -275,7 +275,7 @@ def datalog_programs(
     body does not bind — they range over the active domain), repeated
     variables in heads and bodies, and 0-ary IDB predicates (Boolean
     goals).  Sizes stay small because the properties cross-evaluate
-    every example under four engine/method combinations.
+    every example under four evaluator/method combinations.
     """
     edb_arities = {
         f"E{i}": draw(st.integers(min_value=1, max_value=max_arity))
@@ -327,7 +327,7 @@ def csp_templates(
     """Small nonempty templates B for canonical programs ρ_B.
 
     Bounded hard: ρ_B has |B|^k IDB predicates, and the Theorem 4.2
-    properties evaluate it with the legacy engine as the oracle.
+    properties evaluate it with the reference evaluator as the oracle.
     """
     vocabulary = draw(vocabularies(max_symbols=2, max_arity=max_arity))
     return draw(

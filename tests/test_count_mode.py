@@ -1,9 +1,10 @@
-"""The kernel count mode vs the legacy enumerator (satellite of P3)."""
+"""The kernel count mode vs the reference enumerator (satellite of P3)."""
 
 from __future__ import annotations
 
 import random
 
+from reference import homomorphism as reference_hom
 from repro.kernel.search import count_solutions, search_homomorphisms
 from repro.csp.generators import random_structure
 from repro.structures.homomorphism import SearchStats, count_homomorphisms
@@ -32,8 +33,8 @@ class TestCountParity:
             source, target = random_pair(seed, vocabulary)
             kernel_stats, legacy_stats = SearchStats(), SearchStats()
             kernel = count_homomorphisms(source, target, stats=kernel_stats)
-            legacy = count_homomorphisms(
-                source, target, engine="legacy", stats=legacy_stats
+            legacy = reference_hom.count_homomorphisms(
+                source, target, stats=legacy_stats
             )
             assert kernel == legacy, seed
             # Identical search tree, not just an identical total.

@@ -1,8 +1,8 @@
-"""Randomized Datalog parity: the legacy evaluator as oracle.
+"""Randomized Datalog parity: the reference evaluator as oracle.
 
 Seeded loops in the style of ``test_kernel_parity.py`` assert that the
 compiled bitset Datalog engine (:mod:`repro.kernel.datalogk`) and the
-legacy pure-dict evaluator agree — not just on the goal verdict but on
+pure-dict evaluator of ``reference.datalog`` agree — not just on the goal verdict but on
 the *exact* IDB fact sets, database for database — across transitive
 closures, non-2-colorability, mutual recursion, random generated
 programs, and canonical programs ρ_B; and that the Theorem 4.2 decision
@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import random
 
+from reference import datalog as reference_datalog
 from repro.cq.query import Atom
 from repro.datalog.canonical_program import (
     canonical_program,
@@ -147,16 +148,14 @@ def _instance(seed: int) -> tuple[str, DatalogProgram, Structure]:
 
 class TestEvaluationParity:
     def test_exact_database_parity(self):
-        """Kernel and legacy produce identical databases on every seed."""
+        """Kernel and reference produce identical databases on every seed."""
         goal_true = goal_false = 0
         for seed in range(NUM_INSTANCES):
             label, program, structure = _instance(seed)
-            legacy = evaluate_program(program, structure, engine="legacy")
-            kernel = evaluate_program(program, structure, engine="kernel")
+            legacy = reference_datalog.evaluate_program(program, structure)
+            kernel = evaluate_program(program, structure)
             assert kernel == legacy, f"seed {seed} ({label})"
-            naive = evaluate_program(
-                program, structure, method="naive", engine="kernel"
-            )
+            naive = evaluate_program(program, structure, method="naive")
             assert naive == legacy, f"seed {seed} ({label}): naive differs"
             decision = goal_holds(program, structure)
             assert decision == bool(legacy[program.goal]), f"seed {seed}"
@@ -178,7 +177,7 @@ class TestTheoremDecisionParity:
             target = clique(rng.choice((2, 3)))
             k = rng.choice((1, 2))
             kernel = canonical_refutes(source, target, k)
-            legacy = canonical_refutes(source, target, k, engine="legacy")
+            legacy = reference_datalog.canonical_refutes(source, target, k)
             assert kernel == legacy, f"seed {seed}"
             assert kernel == spoiler_wins(source, target, k), f"seed {seed}"
             if kernel:

@@ -4,7 +4,8 @@ Seeded loops over the workload generators assert that, on every
 instance, the following all agree:
 
 * the compiled decomposition DP (``repro.kernel.decomp``),
-* the legacy bag-map DP (``solve_by_treewidth(engine="legacy")``),
+* the reference bag-map DP
+  (``reference.homomorphism.solve_by_treewidth``),
 * the kernel backtracking search (``repro.kernel.search.solve``),
 * and — where the target's cCSP is k-Datalog-expressible — the
   generalized k-pebble decision.
@@ -12,7 +13,7 @@ instance, the following all agree:
 Existence must match exactly; every produced witness must verify as a
 homomorphism (witness *elements* may differ between DP engines — both
 are correct answers).  The pebble engines are additionally held to
-*exact* family/table parity against both legacy fixpoints, and the
+*exact* family/table parity against both reference fixpoints, and the
 k-consistency verdicts to the Theorem 4.8 relationships (soundness of a
 Spoiler win for every k; completeness at k = 3 for 2-colorability).
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import random
 
+from reference import homomorphism as reference_hom
 from repro.csp.generators import (
     bounded_treewidth_structure,
     coloring_instance,
@@ -36,8 +38,6 @@ from repro.kernel.pebblek import (
     spoiler_wins_k,
 )
 from repro.kernel.search import solve as kernel_search
-from repro.pebble.game import solve_pebble_game, spoiler_wins
-from repro.pebble.kconsistency import consistency_tables, strong_k_consistent
 from repro.structures.graphs import clique
 from repro.structures.homomorphism import is_homomorphism
 from repro.structures.vocabulary import Vocabulary
@@ -100,13 +100,13 @@ def _instance(seed: int):
 
 class TestDecompositionParity:
     def test_four_way_agreement(self):
-        """Kernel DP, legacy DP, kernel search: same verdict everywhere;
+        """Kernel DP, reference DP, kernel search: same verdict everywhere;
         all witnesses verify; a Spoiler win always refutes."""
         sat = unsat = 0
         for seed in range(NUM_INSTANCES):
             a, b, certificate = _instance(seed)
             kernel = solve_decomposition(a, b, certificate)
-            legacy = solve_by_treewidth(a, b, certificate, engine="legacy")
+            legacy = reference_hom.solve_by_treewidth(a, b, certificate)
             search = kernel_search(a, b)
             exists = kernel is not None
             assert (legacy is not None) == exists, f"seed {seed}: DP engines"
@@ -125,7 +125,7 @@ class TestDecompositionParity:
         assert sat >= 30 and unsat >= 30
 
     def test_engine_flag_roundtrip(self):
-        """The facade dispatches both engines to the same place."""
+        """The facade dispatches straight to the kernel DP."""
         for seed in range(0, NUM_INSTANCES, 16):
             a, b, certificate = _instance(seed)
             via_flag = solve_by_treewidth(a, b, certificate)
@@ -133,14 +133,14 @@ class TestDecompositionParity:
             assert via_flag == direct, f"seed {seed}"
 
     def test_pebble_decision_parity(self):
-        """Generalized kernel game vs legacy deletion loop, k = 1..3."""
+        """Generalized kernel game vs reference deletion loop, k = 1..3."""
         for seed in range(0, NUM_INSTANCES, 2):
             a, b, _certificate = _instance(seed)
             for k in (1, 2, 3):
                 kernel = spoiler_wins_k(a, b, k)
-                legacy = spoiler_wins(a, b, k, engine="legacy")
+                legacy = reference_hom.spoiler_wins(a, b, k)
                 assert kernel == legacy, f"seed {seed} k={k}"
-                tables = strong_k_consistent(a, b, k, engine="legacy")
+                tables = reference_hom.consistency_tables(a, b, k) is not None
                 assert kernel == (not tables), f"seed {seed} k={k} tables"
 
     def test_pebble_family_and_tables_exact(self):
@@ -148,13 +148,13 @@ class TestDecompositionParity:
         for seed in range(0, NUM_INSTANCES, 8):
             a, b, _certificate = _instance(seed)
             for k in (2, 3):
-                legacy_game = solve_pebble_game(a, b, k, engine="legacy")
+                legacy_game = reference_hom.solve_pebble_game(a, b, k)
                 assert pebble_game_family(a, b, k) == legacy_game.family, (
                     f"seed {seed} k={k} family"
                 )
                 assert kernel_consistency_tables(
                     a, b, k
-                ) == consistency_tables(a, b, k, engine="legacy"), (
+                ) == reference_hom.consistency_tables(a, b, k), (
                     f"seed {seed} k={k} tables"
                 )
 

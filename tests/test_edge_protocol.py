@@ -447,17 +447,38 @@ def test_batch_item_errors_are_isolated(edge):
         "q1": "Q(x) :- R(x,y)",
         "q2": "Q(x) :- R(x,y), R(y,z)",
     }
-    body = protocol.dumps(
-        [good, {"op": "bogus"}, 42, {"op": "solve", "source": 3}, good]
-    )
+    edge_k2 = {"vocabulary": {"E": 2}, "relations": {"E": [[0, 1], [1, 0]]}}
+    # Malformed structures the decoder must reject as typed 400s, never
+    # a 500 or a silent misparse.
+    bad_structures = [
+        {"vocabulary": [["E", 2]]},
+        {"vocabulary": {"E": 2}, "relations": [1]},
+        {"vocabulary": {"E": 1.5}},
+        {"vocabulary": {"E": True}},
+        {"vocabulary": {"E": 2}, "universe": "abc"},
+        {"vocabulary": {"E": 2}, "relations": {"E": ["ab"]}},
+        {"vocabulary": {"E": 2}, "relations": {"E": "ab"}},
+    ]
+    rotten_items = [{"op": "bogus"}, 42, {"op": "solve", "source": 3}] + [
+        {"op": "solve", "source": bad, "target": edge_k2}
+        for bad in bad_structures
+    ]
+    body = protocol.dumps([good, *rotten_items, good])
     response = edge.raw(_batch_request(body))
     assert _status(response) == 200
     items = json.loads(response.partition(b"\r\n\r\n")[2])
+    assert len(items) == len(rotten_items) + 2
     assert items[0]["verdict"] is False
     for rotten in items[1:4]:
         assert rotten["error"]["type"] == "EdgeProtocolError"
         assert rotten["error"]["status"] == 400
-    assert items[4]["verdict"] is False
+    for rotten in items[4:-1]:
+        assert rotten["error"]["type"] in (
+            "EdgeProtocolError",
+            "VocabularyError",
+        ), rotten
+        assert rotten["error"]["status"] == 400
+    assert items[-1]["verdict"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cq.parser import parse_query
 from repro.datalog.program import parse_program
-from repro.exceptions import ParseError
+from repro.exceptions import ParseError, VocabularyError
 from repro.structures.graphs import cycle, directed_cycle
 from repro.structures.io import (
     program_from_text,
@@ -17,8 +18,26 @@ from repro.structures.io import (
     structure_to_dict,
     structure_to_json,
 )
+from repro.structures.structure import Structure
 
 from conftest import structures
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+SYMBOL_MAPS = st.dictionaries(st.sampled_from("ER"), JSON_VALUES, max_size=2)
+#: Dicts with the structure keys present more often than raw JSON has them.
+STRUCTURE_SHAPED = st.fixed_dictionaries(
+    {},
+    optional={
+        "vocabulary": JSON_VALUES | SYMBOL_MAPS,
+        "universe": JSON_VALUES,
+        "relations": JSON_VALUES | SYMBOL_MAPS,
+    },
+)
 
 
 class TestStructureRoundtrip:
@@ -52,6 +71,32 @@ class TestStructureRoundtrip:
     def test_malformed_dict_rejected(self):
         with pytest.raises(ParseError):
             structure_from_dict({"relations": {}})
+        # Shapes that used to escape as AttributeError or decode by
+        # iterating a string into its characters.
+        for shape_error in (
+            {"vocabulary": [["E", 2]]},
+            {"vocabulary": {"E": 2}, "relations": [1]},
+            {"vocabulary": {"E": 2}, "universe": "abc"},
+            {"vocabulary": {"E": 2}, "relations": {"E": ["ab"]}},
+            {"vocabulary": {"E": 2}, "relations": {"E": "ab"}},
+            ["vocabulary"],
+        ):
+            with pytest.raises(ParseError):
+                structure_from_dict(shape_error)
+        # Arities that used to decode and then fail at solve time.
+        for arity in (1.5, True, "2", None):
+            with pytest.raises(VocabularyError):
+                structure_from_dict({"vocabulary": {"E": arity}})
+
+    @given(JSON_VALUES | STRUCTURE_SHAPED)
+    @settings(max_examples=200, deadline=None)
+    def test_decoder_raises_only_typed_errors(self, data):
+        """Any JSON-shaped value decodes or raises a typed 400 error."""
+        try:
+            decoded = structure_from_dict(data)
+        except (ParseError, VocabularyError):
+            return
+        assert isinstance(decoded, Structure)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError):

@@ -1,7 +1,6 @@
 """Unit tests for the compiled bitset kernel."""
 
-import pytest
-
+from reference import homomorphism as reference_hom
 from repro.core.pipeline import SolveContext, SolverPipeline, StructureCache
 from repro.csp.ac3 import establish_arc_consistency
 from repro.csp.backtracking import degree_order, solve_backtracking
@@ -16,15 +15,8 @@ from repro.kernel import (
     solve,
     spoiler_wins_k2,
 )
-from repro.kernel.engine import (
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-    use_engine,
-)
-from repro.pebble.game import spoiler_wins
 from repro.structures.graphs import clique, cycle, path
-from repro.structures.homomorphism import SearchStats, find_homomorphism
+from repro.structures.homomorphism import SearchStats
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
 
@@ -133,7 +125,7 @@ class TestPropagate:
         a, b = cycle(4), clique(2)
         custom = {e: {0} for e in a.universe}
         assert establish_arc_consistency(a, b, custom) is None
-        assert establish_arc_consistency(a, b, custom, engine="legacy") is None
+        assert reference_hom.establish_arc_consistency(a, b, custom) is None
 
     def test_untouched_elements_pass_through(self):
         lonely = Structure(GRAPH, {0, 1}, {"E": set()})
@@ -149,7 +141,7 @@ class TestPropagate:
         bogus = {0: {"nope"}}
         assert establish_arc_consistency(looped, target, bogus) is None
         assert (
-            establish_arc_consistency(looped, target, bogus, engine="legacy")
+            reference_hom.establish_arc_consistency(looped, target, bogus)
             is None
         )
         # ... but a given *empty* set on that element is never pruned by
@@ -157,20 +149,18 @@ class TestPropagate:
         empty = {0: set()}
         assert establish_arc_consistency(looped, target, empty) == empty
         assert (
-            establish_arc_consistency(looped, target, empty, engine="legacy")
+            reference_hom.establish_arc_consistency(looped, target, empty)
             == empty
         )
         # mixed in- and out-of-universe values: the survivors agree
         mixed = {0: {0, "nope"}}
         assert establish_arc_consistency(
             looped, target, mixed
-        ) == establish_arc_consistency(looped, target, mixed, engine="legacy")
+        ) == reference_hom.establish_arc_consistency(looped, target, mixed)
 
 
 class TestSearch:
     def test_matches_legacy_tree_exactly(self):
-        from repro.structures.homomorphism import all_homomorphisms
-
         for a, b in [
             (cycle(6), clique(2)),
             (cycle(5), clique(2)),
@@ -181,7 +171,7 @@ class TestSearch:
             kernel_stats, reference_stats = SearchStats(), SearchStats()
             kernel = list(search_homomorphisms(a, b, stats=kernel_stats))
             reference = list(
-                all_homomorphisms(a, b, stats=reference_stats, engine="legacy")
+                reference_hom.all_homomorphisms(a, b, stats=reference_stats)
             )
             assert kernel == reference
             assert (kernel_stats.nodes, kernel_stats.backtracks) == (
@@ -235,10 +225,10 @@ class TestPebble2:
             (Structure(GRAPH, {0}, {"E": {(0, 0)}}), clique(2)),
         ]
         for a, b in instances:
-            # reference side pinned to the legacy deletion loop — the
-            # default engine is the same kernel as spoiler_wins_k2
-            assert spoiler_wins_k2(a, b) == spoiler_wins(
-                a, b, 2, engine="legacy"
+            # reference side: the pure-dict deletion loop —
+            # repro.pebble.game runs the same kernel as spoiler_wins_k2
+            assert spoiler_wins_k2(a, b) == reference_hom.spoiler_wins(
+                a, b, 2
             )
 
     def test_higher_arity_facts_ignored_like_reference(self):
@@ -247,36 +237,13 @@ class TestPebble2:
         # never fully covered, so neither implementation refutes
         source = Structure(vocabulary, range(3), {"R": {(0, 1, 2)}})
         target = Structure(vocabulary, {0, 1}, {"R": set()})
-        assert spoiler_wins(source, target, 2, engine="legacy") is False
+        assert reference_hom.spoiler_wins(source, target, 2) is False
         assert spoiler_wins_k2(source, target) is False
 
     def test_empty_cases(self):
         empty = Structure(GRAPH)
         assert spoiler_wins_k2(empty, clique(2)) is False
         assert spoiler_wins_k2(cycle(3), empty) is True
-
-
-class TestEngineFlag:
-    def test_default_follows_environment(self):
-        import os
-
-        assert default_engine() == os.environ.get("REPRO_ENGINE", "kernel")
-        assert resolve_engine(None) == default_engine()
-
-    def test_use_engine_restores(self):
-        before = default_engine()
-        other = "legacy" if before == "kernel" else "kernel"
-        with use_engine(other):
-            assert default_engine() == other
-        assert default_engine() == before
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_engine("c")
-        with pytest.raises(ValueError):
-            set_default_engine("fast")
-        with pytest.raises(ValueError):
-            find_homomorphism(cycle(3), clique(3), engine="bogus")
 
 
 class TestCacheIntegration:

@@ -1,11 +1,12 @@
-"""Randomized kernel-vs-legacy parity: the legacy solvers as oracle.
+"""Randomized kernel-vs-reference parity: the reference solvers as oracle.
 
 Seeded, hypothesis-style loops over the workload generators of
 :mod:`repro.csp.generators` assert that the compiled bitset kernel and the
-legacy pure-dict implementations agree — not just on sat/unsat but, for
-the search, on the exact assignment, enumeration order, and
-``SearchStats`` counters, since the kernel mirrors the reference search
-tree.  Every found map is additionally verified by ``is_homomorphism``.
+pure-dict implementations of the top-level ``reference`` package agree —
+not just on sat/unsat but, for the search, on the exact assignment,
+enumeration order, and ``SearchStats`` counters, since the kernel
+mirrors the reference search tree.  Every found map is additionally
+verified by ``is_homomorphism``.
 
 240 seeded instances run through the main parity loop (the acceptance
 floor is 200); the pebble and enumeration loops use the smaller prefix
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import random
 
+from reference import homomorphism as reference_hom
 from repro.csp.ac3 import establish_arc_consistency
 from repro.csp.backtracking import solve_backtracking
 from repro.csp.generators import (
@@ -25,7 +27,6 @@ from repro.csp.generators import (
     random_structure,
 )
 from repro.kernel import spoiler_wins_k2
-from repro.pebble.game import spoiler_wins
 from repro.structures.homomorphism import (
     SearchStats,
     all_homomorphisms,
@@ -89,8 +90,8 @@ class TestSearchParity:
             a, b = _instance(seed)
             kernel_stats, legacy_stats = SearchStats(), SearchStats()
             kernel = find_homomorphism(a, b, stats=kernel_stats)
-            legacy = find_homomorphism(
-                a, b, stats=legacy_stats, engine="legacy"
+            legacy = reference_hom.find_homomorphism(
+                a, b, stats=legacy_stats
             )
             assert kernel == legacy, f"seed {seed}: answers differ"
             assert (kernel_stats.nodes, kernel_stats.backtracks) == (
@@ -111,20 +112,24 @@ class TestSearchParity:
             if len(a) > 4 or len(b) > 3:
                 continue
             kernel = list(all_homomorphisms(a, b))
-            legacy = list(all_homomorphisms(a, b, engine="legacy"))
+            legacy = list(reference_hom.all_homomorphisms(a, b))
             assert kernel == legacy, f"seed {seed}: enumeration differs"
             assert count_homomorphisms(a, b) == len(legacy)
 
     def test_exists_and_facade_agree(self):
         for seed in range(0, NUM_INSTANCES, 3):
             a, b = _instance(seed)
-            expected = homomorphism_exists(a, b, engine="legacy")
+            expected = reference_hom.find_homomorphism(a, b) is not None
             assert homomorphism_exists(a, b) == expected
             for use_degree in (False, True):
                 kernel = solve_backtracking(
                     a, b, use_degree_order=use_degree
                 )
+                bail_out = reference_hom.solve_backtracking(
+                    a, b, use_degree_order=use_degree
+                )
                 assert (kernel is not None) == expected, f"seed {seed}"
+                assert (bail_out is not None) == expected, f"seed {seed}"
                 if kernel is not None:
                     assert is_homomorphism(kernel, a, b), f"seed {seed}"
 
@@ -134,7 +139,7 @@ class TestPropagationParity:
         for seed in range(NUM_INSTANCES):
             a, b = _instance(seed)
             kernel = establish_arc_consistency(a, b)
-            legacy = establish_arc_consistency(a, b, engine="legacy")
+            legacy = reference_hom.establish_arc_consistency(a, b)
             assert kernel == legacy, f"seed {seed}: AC closures differ"
 
     def test_arc_consistency_parity_on_custom_domains(self):
@@ -153,9 +158,7 @@ class TestPropagationParity:
                 for e in a.universe
             }
             kernel = establish_arc_consistency(a, b, domains)
-            legacy = establish_arc_consistency(
-                a, b, domains, engine="legacy"
-            )
+            legacy = reference_hom.establish_arc_consistency(a, b, domains)
             assert kernel == legacy, f"seed {seed}: custom-domain AC differs"
 
 
@@ -166,7 +169,7 @@ class TestPebbleParity:
             a, b = _instance(seed)
             if len(a) > 4 or len(b) > 4:
                 continue
-            expected = spoiler_wins(a, b, 2, engine="legacy")
+            expected = reference_hom.spoiler_wins(a, b, 2)
             assert spoiler_wins_k2(a, b) == expected, f"seed {seed}"
             if expected:
                 wins += 1

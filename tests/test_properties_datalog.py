@@ -5,8 +5,8 @@ Theorem 4.2 identification of the canonical program with the existential
 k-pebble game — forces on the implementation:
 
 * the fixpoint is *unique*: semi-naive and naive evaluation, and the
-  compiled bitset engine vs. the legacy dict engine, must produce the
-  identical database, fact for fact;
+  compiled bitset engine vs. the reference dict evaluator, must produce
+  the identical database, fact for fact;
 * the fixpoint is *closed*: one more application of the immediate-
   consequence operator T_P derives nothing new (idempotence);
 * evaluation is *monotone*: growing the EDB can only grow every IDB;
@@ -26,15 +26,12 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import datalog as reference_datalog
 from repro.datalog.canonical_program import (
     canonical_program,
     canonical_refutes,
 )
-from repro.datalog.evaluation import (
-    evaluate_program,
-    goal_holds,
-    immediate_consequences,
-)
+from repro.datalog.evaluation import evaluate_program, goal_holds
 from repro.kernel.pebblek import pebble_game_family
 from repro.pebble.game import spoiler_wins
 
@@ -81,26 +78,24 @@ class TestFixpointLaws:
     @given(datalog_instances())
     @settings(max_examples=50, deadline=None)
     def test_kernel_matches_legacy_database(self, instance):
-        """Bitset and dict engines produce the identical database."""
+        """Bitset and dict evaluators produce the identical database."""
         program, structure = instance
-        kernel = evaluate_program(program, structure, engine="kernel")
-        legacy = evaluate_program(program, structure, engine="legacy")
+        kernel = evaluate_program(program, structure)
+        legacy = reference_datalog.evaluate_program(program, structure)
         assert kernel == legacy
         for method in ("semi_naive", "naive"):
             assert (
-                evaluate_program(
-                    program, structure, method=method, engine="kernel"
-                )
+                evaluate_program(program, structure, method=method)
                 == legacy
             )
 
     @given(datalog_instances())
     @settings(max_examples=50, deadline=None)
     def test_goal_decision_parity(self, instance):
-        """The early-exiting kernel goal decision equals the legacy one."""
+        """The early-exiting kernel goal decision equals the reference one."""
         program, structure = instance
-        assert goal_holds(program, structure) == goal_holds(
-            program, structure, engine="legacy"
+        assert goal_holds(program, structure) == reference_datalog.goal_holds(
+            program, structure
         )
 
     @given(datalog_instances())
@@ -109,7 +104,7 @@ class TestFixpointLaws:
         """T_P applied to the fixpoint derives nothing outside it."""
         program, structure = instance
         fixpoint = evaluate_program(program, structure)
-        derived = immediate_consequences(
+        derived = reference_datalog.immediate_consequences(
             program, fixpoint, structure.universe
         )
         for predicate, facts in derived.items():
@@ -164,7 +159,7 @@ class TestTheorem42:
         source, template, k = instance
         assert canonical_refutes(
             source, template, k
-        ) == canonical_refutes(source, template, k, engine="legacy")
+        ) == reference_datalog.canonical_refutes(source, template, k)
 
     @given(game_instances())
     @settings(max_examples=20, deadline=None)

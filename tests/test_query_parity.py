@@ -1,9 +1,9 @@
-"""Randomized query-plane parity: the legacy one-shot paths as oracle.
+"""Randomized query-plane parity: the reference one-shot paths as oracle.
 
 Seeded loops over the query generators of :mod:`repro.csp.generators`
 assert that the compiled query plane — memoized :class:`CompiledQuery`
 artifacts, the kernel core engine, the batch containment layer — returns
-*identical* answers to the legacy rebuild-per-probe paths: same
+*identical* answers to the rebuild-per-probe paths of ``reference.cq``: same
 containment verdicts, same witnesses, same minimized queries (not merely
 equivalent ones), same cores (not merely isomorphic ones).  The same
 pattern as ``test_kernel_parity.py`` / ``test_decomp_parity.py``, one
@@ -13,7 +13,10 @@ level up the stack.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
+from reference import cq as reference_cq
+from reference import homomorphism as reference_hom
 from repro.cq.compiled import compile_query, query_fingerprint
 from repro.cq.containment import (
     containment_matrix,
@@ -35,7 +38,6 @@ from repro.csp.generators import (
     random_structure,
     random_two_atom_query,
 )
-from repro.kernel import use_engine
 from repro.structures.product import core, is_core, retract_onto
 from repro.structures.vocabulary import Vocabulary
 
@@ -92,19 +94,19 @@ def _structure(seed: int):
 
 class TestContainmentParity:
     def test_contains_engine_parity(self):
-        """Kernel and legacy agree on verdict and exact witness."""
+        """Kernel and reference agree on verdict and exact witness."""
         positive = negative = 0
         for seed in range(NUM_PAIRS):
             q1, q2 = _query_pair(seed)
             kernel = containment_witness(q1, q2)
-            legacy = containment_witness(q1, q2, engine="legacy")
+            legacy = reference_cq.containment_witness(q1, q2)
             assert kernel == legacy, f"seed {seed}: witnesses differ"
             verdict = kernel is not None
             assert contains(q1, q2) == verdict, f"seed {seed}"
-            assert contains(q1, q2, engine="legacy") == verdict, f"seed {seed}"
+            assert reference_cq.contains(q1, q2) == verdict, f"seed {seed}"
             assert contains_via_evaluation(q1, q2) == verdict, f"seed {seed}"
             assert (
-                contains_via_evaluation(q1, q2, engine="legacy") == verdict
+                reference_cq.contains_via_evaluation(q1, q2) == verdict
             ), f"seed {seed}"
             if verdict:
                 positive += 1
@@ -114,14 +116,12 @@ class TestContainmentParity:
         assert positive >= 20 and negative >= 20
 
     def test_process_default_engine_parity(self):
-        """Switching the process default (the REPRO_ENGINE path) agrees
-        with the per-call keyword."""
+        """Cold rebuilds with no memoized compilation agree with the
+        reference path."""
         for seed in range(0, NUM_PAIRS, 5):
             q1, q2 = _query_pair(seed)
-            with use_engine("legacy"):
-                legacy = contains(_fresh(q1), _fresh(q2))
-            with use_engine("kernel"):
-                kernel = contains(_fresh(q1), _fresh(q2))
+            legacy = reference_cq.contains(_fresh(q1), _fresh(q2))
+            kernel = contains(_fresh(q1), _fresh(q2))
             assert kernel == legacy, f"seed {seed}"
 
     def test_compiled_vs_uncompiled_entry_points(self):
@@ -143,11 +143,11 @@ class TestContainmentParity:
         for seed in range(0, NUM_PAIRS, 3):
             q1, q2 = _query_pair(seed)
             expected = contains(q1, q2)
-            assert equivalent(q1, q2) == equivalent(q1, q2, engine="legacy")
+            assert equivalent(q1, q2) == reference_cq.equivalent(q1, q2)
             assert contains(q1, q2, plan=True) == expected, f"seed {seed}"
             assert contains_bounded_width(q1, q2) == expected, f"seed {seed}"
             assert (
-                contains_bounded_width(q1, q2, engine="legacy") == expected
+                reference_cq.contains_bounded_width(q1, q2) == expected
             ), f"seed {seed}"
             if q1.is_two_atom:
                 assert two_atom_contains(q1, q2) == expected, f"seed {seed}"
@@ -158,19 +158,23 @@ class TestContainmentParity:
 class TestMinimizationParity:
     def test_minimize_engine_parity(self):
         """Identical minimized queries — same head, same atoms — on both
-        engines, and the greedy remover lands on the same atom count."""
+        paths, and the greedy remover lands on the same atom count.  The
+        greedy remover and the minimality check also run with the
+        reference equivalence test in place of the kernel's."""
         for seed in range(NUM_PAIRS):
             query, _ = _query_pair(seed)
             kernel = minimize(query)
-            legacy = minimize(query, engine="legacy")
+            legacy = reference_cq.minimize(query)
             assert kernel == legacy, f"seed {seed}: minimized queries differ"
             removal = minimize_by_atom_removal(query)
-            removal_legacy = minimize_by_atom_removal(query, engine="legacy")
+            with mock.patch(
+                "repro.cq.minimize.equivalent", reference_cq.equivalent
+            ):
+                removal_legacy = minimize_by_atom_removal(query)
+                legacy_minimal = is_minimal(kernel)
             assert removal == removal_legacy, f"seed {seed}"
             assert len(kernel.atoms) == len(removal.atoms), f"seed {seed}"
-            assert is_minimal(kernel) and is_minimal(
-                kernel, engine="legacy"
-            ), f"seed {seed}"
+            assert is_minimal(kernel) and legacy_minimal, f"seed {seed}"
 
     def test_minimize_memo_matches_cold_path(self):
         for seed in range(0, NUM_PAIRS, 4):
@@ -183,15 +187,15 @@ class TestMinimizationParity:
 class TestCoreParity:
     def test_core_engine_parity(self):
         """The kernel's masked endomorphism search returns the *same*
-        core as the legacy substructure loop — equality, not just
+        core as the reference substructure loop — equality, not just
         isomorphism — on every seeded structure."""
         shrunk = unchanged = 0
         for seed in range(NUM_STRUCTURES):
             a = _structure(seed)
             kernel = core(a)
-            legacy = core(a, engine="legacy")
+            legacy = reference_hom.core(a)
             assert kernel == legacy, f"seed {seed}: cores differ"
-            assert is_core(a) == is_core(a, engine="legacy"), f"seed {seed}"
+            assert is_core(a) == reference_hom.is_core(a), f"seed {seed}"
             if len(kernel) < len(a):
                 shrunk += 1
             else:
@@ -204,7 +208,7 @@ class TestCoreParity:
             rng = random.Random(seed * 17 + 3)
             subset = {e for e in a.universe if rng.random() < 0.6}
             kernel = retract_onto(a, subset)
-            legacy = retract_onto(a, subset, engine="legacy")
+            legacy = reference_hom.retract_onto(a, subset)
             assert kernel == legacy, f"seed {seed}: retractions differ"
 
 
@@ -224,7 +228,7 @@ class TestBatchParity:
             # duplicates exercise the fingerprint dedup path
             queries.append(_fresh(queries[0]))
             kernel = containment_matrix(queries)
-            legacy = containment_matrix(queries, engine="legacy")
+            legacy = reference_cq.containment_matrix(queries)
             assert kernel == legacy, f"seed {seed}: matrices differ"
             unplanned = containment_matrix(
                 [_fresh(q) for q in queries], plan=False
@@ -236,7 +240,12 @@ class TestBatchParity:
             queries = self._batch(seed, 5)
             queries.append(_fresh(queries[1]))
             kernel = equivalence_classes(queries)
-            legacy = equivalence_classes(queries, engine="legacy")
+            # the same grouping over the reference pairwise matrix
+            with mock.patch(
+                "repro.cq.containment.containment_matrix",
+                lambda qs, **_options: reference_cq.containment_matrix(qs),
+            ):
+                legacy = equivalence_classes(queries)
             assert kernel == legacy, f"seed {seed}: classes differ"
             # a duplicated query must share its original's class
             last = len(queries) - 1
