@@ -179,10 +179,7 @@ def main() -> None:
         "service": {
             "seconds": round(service["seconds"], 4),
             "throughput_rps": round(service["throughput_rps"], 2),
-            "config": {
-                "thread_workers": config.thread_workers,
-                "num_shards": config.num_shards,
-            },
+            "config": {"thread_workers": config.thread_workers},
             "stats": service["stats"],
         },
         "speedup": round(speedup, 3),

@@ -33,7 +33,7 @@ from repro.core.pipeline import (
     solve_many,
 )
 from repro.core.problem import HomomorphismProblem
-from repro.service import Priority, ServiceConfig, SolveService
+from repro.service import ServiceConfig, SolveService
 from repro.cq.containment import (
     containment_witness,
     contains,
@@ -88,7 +88,6 @@ __all__ = [
     "solve",
     "solve_many",
     # the concurrent solve service
-    "Priority",
     "ServiceConfig",
     "SolveService",
 ]

@@ -187,13 +187,13 @@ class StructureCache:
       (:class:`repro.kernel.CompiledTarget`), so ``solve_many`` amortizes
       compilation across every instance sharing the target.
 
-    All operations are thread-safe: one reentrant lock guards lookups,
-    inserts, evictions, and counters, so the cache can be shared by the
-    solve service's worker threads.  The lock is held across a miss's
-    ``compute()`` as well — two threads missing on the same key would
-    otherwise both compute it; per-cache serialization is what the
-    service's *sharded* cache (:class:`repro.service.ShardedStructureCache`)
-    spreads across independent shards.
+    All operations are thread-safe, so the cache can be shared by the
+    solve service's worker threads: one lock guards table reads and
+    writes, evictions, and counters — never a miss's ``compute()`` or
+    store I/O, so a thread computing one structure's analysis does not
+    block lookups of another.  Two threads missing on the same key may
+    both compute it (the analyses are pure); the first insert wins and
+    both callers get its object.
 
     With a persistent :class:`repro.persist.ArtifactStore` attached the
     cache becomes the L1 of a two-level hierarchy: a miss first consults
@@ -220,7 +220,7 @@ class StructureCache:
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self._maxsize = maxsize
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._classifications: dict[str, SchaeferClass] = {}
         self._decompositions: dict[str, TreeDecomposition] = {}
         self._compiled_targets: dict[str, CompiledTarget] = {}
@@ -295,6 +295,10 @@ class StructureCache:
         result through after.  Either way the caller's tally sees an L1
         miss: the tally answers "did *this cache* have it", which stays
         truthful across restarts.
+
+        The lock is released while a miss reads the store or computes;
+        if another thread inserted the key meanwhile, its object is
+        returned and this thread's result is dropped.
         """
         with self._lock:
             try:
@@ -308,21 +312,21 @@ class StructureCache:
                 self._misses += 1
                 if tally is not None:
                     tally.misses += 1
-                store = self._store
-                if store is not None and kind is not None:
-                    stored = store.get(kind, key)
-                    if stored is not None:
-                        if len(table) >= self._maxsize:
-                            table.pop(next(iter(table)))
-                        table[key] = stored
-                        return stored
-                result = compute()
-                if len(table) >= self._maxsize:
-                    table.pop(next(iter(table)))
-                table[key] = result
-                if store is not None and kind is not None:
-                    store.put(kind, key, result)
-                return result
+                store = self._store if kind is not None else None
+        result = store.get(kind, key) if store is not None else None
+        computed = result is None
+        if computed:
+            result = compute()
+        with self._lock:
+            first = table.get(key)
+            if first is not None:
+                return first
+            if len(table) >= self._maxsize:
+                table.pop(next(iter(table)))
+            table[key] = result
+        if computed and store is not None:
+            store.put(kind, key, result)
+        return result
 
     def classification(
         self, target: Structure, *, tally: CacheTally | None = None

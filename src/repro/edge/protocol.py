@@ -35,6 +35,7 @@ from repro.exceptions import (
     EdgeProtocolError,
     ParseError,
     ReproError,
+    VocabularyError,
 )
 from repro.structures.io import structure_from_dict, structure_to_dict
 from repro.structures.structure import Structure
@@ -128,7 +129,7 @@ def _structure(data: dict, key: str) -> Structure:
         )
     try:
         return structure_from_dict(raw)
-    except ParseError as exc:
+    except (ParseError, VocabularyError) as exc:
         raise EdgeProtocolError(400, f"bad {key!r} structure: {exc}") from None
 
 

@@ -6,14 +6,12 @@ owns its shard of the structure-cache keyspace and warms from its own
 partition of a shared artifact-store directory (``<root>/shard-<i>`` —
 partitioned because the store is single-writer, and partitioning keeps
 every warm artifact owned by exactly the process that will be asked for
-it again).  The routing rule is the cache's own:
+it again).  The routing rule is a slice of the canonical fingerprint:
 
     ``shard = int(fingerprint[:8], 16) % num_shards``
 
-— the same function :class:`repro.service.cache.ShardedStructureCache`
-uses internally, so "same fingerprint → same shard" holds fleet-wide and
-the per-process in-flight coalescing of PR 3 becomes fleet-wide
-coalescing for free.
+so "same fingerprint → same shard" holds fleet-wide and each service's
+in-process in-flight coalescing becomes fleet-wide coalescing for free.
 
 The shards are the stack's only process boundary (each shard's service
 runs threads only), so the router is also its only supervisor and, used
@@ -62,7 +60,7 @@ __all__ = ["RouterConfig", "ShardRouter", "shard_for", "shard_main"]
 
 
 def shard_for(fingerprint: str, num_shards: int) -> int:
-    """The routing rule — identical to ``ShardedStructureCache``'s."""
+    """The routing rule: a fingerprint's first 32 bits mod ``num_shards``."""
     return int(fingerprint[:8], 16) % num_shards
 
 

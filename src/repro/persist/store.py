@@ -513,8 +513,8 @@ class ArtifactStore:
         """Eagerly seed a structure cache with every structure artifact.
 
         ``cache`` is anything with the ``seed(kind, fingerprint, value)``
-        surface (:class:`repro.core.pipeline.StructureCache` and the
-        service's sharded cache both qualify).  Returns the number of
+        surface, such as :class:`repro.core.pipeline.StructureCache`
+        (the solve service's cache).  Returns the number of
         artifacts seeded; records that fail verification are skipped —
         they count as corrupt, and the cache simply stays cold there.
         """

@@ -5,17 +5,18 @@ arrives *concurrently*.  This package layers a serving front end over
 the :mod:`repro.core.pipeline`:
 
 * :class:`SolveService` (:mod:`repro.service.service`) — asyncio
-  ``submit`` / ``submit_many`` with admission control, priorities,
+  ``submit`` / ``submit_many`` with admission control,
   per-request timeouts, and in-flight request coalescing keyed by
   canonical fingerprints; ``submit_containment`` admits query–query
   (Theorem 2.1 containment) traffic through the compiled query plane
   with the same coalescing plus its own stats route;
-* execution on worker threads only, under each request's cancellation
-  scope.  The service runs in one process; for more cores, run several
-  behind the edge's :class:`~repro.edge.router.ShardRouter` (usable
-  in-process), whose shard respawn is the stack's one supervisor;
-* :class:`ShardedStructureCache` (:mod:`repro.service.cache`) —
-  per-shard-locked analysis caches shared by the worker threads;
+* execution on worker threads only, in admission order through the
+  thread pool's one FIFO queue, under each request's cancellation
+  scope, with one :class:`~repro.core.pipeline.StructureCache` shared
+  by the threads.  The service runs in one process; for more cores,
+  run several behind the edge's :class:`~repro.edge.router.ShardRouter`
+  (usable in-process), whose shard respawn is the stack's one
+  supervisor;
 * :class:`ServiceStats` (:mod:`repro.service.stats`) — queue depth,
   coalesce hits, per-route latency histograms, aggregated per-solve
   :class:`~repro.core.pipeline.SolveStats`;
@@ -38,21 +39,18 @@ from repro.exceptions import (
     ServiceOverloadedError,
     SolveTimeoutError,
 )
-from repro.service.cache import ShardedStructureCache
-from repro.service.service import Priority, ServiceConfig, SolveService
+from repro.service.service import ServiceConfig, SolveService
 from repro.service.stats import LatencyHistogram, ServiceStats
 
 __all__ = [
     "FaultInjectedError",
     "LatencyHistogram",
-    "Priority",
     "ResourceBudgetError",
     "ServiceClosedError",
     "ServiceConfig",
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceStats",
-    "ShardedStructureCache",
     "SolveService",
     "SolveTimeoutError",
 ]

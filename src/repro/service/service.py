@@ -9,25 +9,27 @@ databases.  :class:`SolveService` is that serving layer:
   return awaitables resolving to the pipeline's
   :class:`~repro.core.pipeline.Solution`.  Admission control bounds the
   number of open requests (:class:`ServiceOverloadedError` at the front
-  door beats an unbounded queue); each request carries a
-  :class:`Priority` and an optional per-request timeout.
+  door beats an unbounded queue); each request carries an optional
+  per-request timeout.
 * **Coalescing** — duplicate *in-flight* requests (same instance up to
   structural equality, same solve options — keyed by
   :func:`repro.structures.fingerprint.instance_fingerprint`) attach to
   the running computation and receive the identical ``Solution`` object.
   Nothing about results is cached beyond the in-flight window, so a
   failed or timed-out solve can never poison later answers.
-* **Execution** — every request runs ``SolverPipeline.solve`` on a
-  worker thread, under the request's cancellation scope, so the kernel
-  loops abandon a solve cooperatively once its deadline passes.  The
-  service is single-process by design: the multi-core path is the
-  edge's :class:`~repro.edge.router.ShardRouter`, whose shard processes
-  each run one of these services and whose respawn loop is the one
-  supervisor in the stack.
-* **Caching** — the thread backend's pipeline uses a
-  :class:`~repro.service.cache.ShardedStructureCache`: per-shard locks,
-  fingerprint-routed, so concurrent threads only serialize when they ask
-  for the *same* structure's analysis.
+* **Execution** — each admitted request goes straight onto the
+  ``ThreadPoolExecutor``, whose FIFO queue is the service's one queue:
+  requests start in admission order, ``thread_workers`` at a time.
+  Every solve runs ``SolverPipeline.solve`` under the request's
+  cancellation scope, so the kernel loops abandon it cooperatively once
+  its deadline passes.  The service is single-process by design: the
+  multi-core path is the edge's :class:`~repro.edge.router.ShardRouter`,
+  whose shard processes each run one of these services and whose
+  respawn loop is the one supervisor in the stack.
+* **Caching** — the pipeline shares one
+  :class:`~repro.core.pipeline.StructureCache` across the worker
+  threads; its lock covers only table reads and writes, so a thread
+  computing one structure's analysis never blocks a lookup of another.
 * **Observability** — :class:`~repro.service.stats.ServiceStats` at
   ``service.stats``: queue depth, coalesce hits, per-route latency
   histograms, folded per-solve :class:`~repro.core.pipeline.SolveStats`.
@@ -57,13 +59,12 @@ The service must be started (and submitted to) from one event loop;
 from __future__ import annotations
 
 import asyncio
-import heapq
 import itertools
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import TYPE_CHECKING, Awaitable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only import
@@ -90,12 +91,11 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import Counter, Gauge, default_registry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Span, TraceLog, child_scope
-from repro.service.cache import ShardedStructureCache
 from repro.service.stats import ServiceStats
 from repro.structures.fingerprint import instance_fingerprint
 from repro.structures.structure import Structure
 
-__all__ = ["Priority", "ServiceConfig", "SolveService"]
+__all__ = ["ServiceConfig", "SolveService"]
 
 _log = get_logger("service")
 
@@ -123,14 +123,6 @@ def _env_store_max_bytes_default() -> int | None:
         return None
 
 
-class Priority(IntEnum):
-    """Dispatch priority; lower values dispatch first."""
-
-    HIGH = 0
-    NORMAL = 1
-    LOW = 2
-
-
 #: Distinguishes "caller passed nothing" from an explicit ``None``
 #: (``timeout=None`` means "wait forever").
 _UNSET = object()
@@ -140,7 +132,8 @@ _UNSET = object()
 class ServiceConfig:
     """Tuning knobs of a :class:`SolveService`.
 
-    ``thread_workers`` sizes the worker-thread pool every solve runs on.
+    ``thread_workers`` sizes the worker-thread pool every solve runs on;
+    admitted requests wait in that pool's FIFO queue.
     ``process_workers`` is kept only for callers that still pass it: the
     service runs no process pool, so ``0`` (the default) is the one
     accepted value and anything else raises ``ValueError`` — use
@@ -148,6 +141,8 @@ class ServiceConfig:
     is removed once the benchmark ledger stops passing it.
     ``max_pending`` bounds *open* requests (queued plus executing);
     coalesced duplicates ride along for free and are never rejected.
+    ``cache_maxsize`` bounds each analysis table of the service's one
+    :class:`~repro.core.pipeline.StructureCache`.
     ``plan=True`` lets the pipeline's width-aware planner strategy pick
     the solving engine per request (and consider the pebble route), with
     the decision visible in each ``Solution.stats.plan``.
@@ -158,8 +153,8 @@ class ServiceConfig:
     waiters at once.
 
     ``trace=True`` opens a root span per admitted request and threads it
-    through every layer the request crosses — queue, retry loop, thread
-    dispatch, planner decision, kernel phases — with finished traces
+    through every layer the request crosses — queue, retry loop, worker
+    thread, planner decision, kernel phases — with finished traces
     collected on ``service.trace_log``.  The default comes from the
     ``REPRO_TRACE`` environment variable.
 
@@ -167,7 +162,7 @@ class ServiceConfig:
     environment variable) opens a crash-safe
     :class:`~repro.persist.ArtifactStore` there at startup, and a
     restarted service starts *warm*: with ``store_warm`` (default) every
-    persisted structure artifact is seeded into the sharded cache and
+    persisted structure artifact is seeded into the structure cache and
     every compiled query into the containment fast path before the first
     request is admitted.  ``store_max_bytes`` (``REPRO_STORE_MAX_BYTES``)
     bounds the log via newest-first compaction.  ``drain_timeout`` is
@@ -182,7 +177,6 @@ class ServiceConfig:
     process_workers: int = 0
     max_pending: int = 1024
     default_timeout: float | None = None
-    num_shards: int = ShardedStructureCache.DEFAULT_NUM_SHARDS
     cache_maxsize: int = StructureCache.DEFAULT_MAXSIZE
     width_threshold: int = DEFAULT_WIDTH_THRESHOLD
     try_pebble_refutation: int | None = None
@@ -214,7 +208,6 @@ class _Request:
     source: Structure
     target: Structure
     options: dict
-    priority: int
     future: asyncio.Future
     #: The shared cancellation token: carries the loosest deadline across
     #: every coalesced waiter (a patient late-attacher *extends* it) and
@@ -224,10 +217,6 @@ class _Request:
     #: ``None`` buckets by the solving strategy's route.
     route: str | None = None
     enqueued_at: float = field(default_factory=time.perf_counter)
-    #: Set when the dispatcher hands the request to a backend (or stop()
-    #: fails it).  A priority bump re-pushes the request onto the heap,
-    #: so stale heap entries are skipped via this flag (lazy deletion).
-    dispatched: bool = False
     #: The request's root trace span (``None`` with tracing off).
     span: Span | None = None
 
@@ -249,24 +238,12 @@ class SolveService:
     ----------
     config:
         Tuning knobs; defaults are sensible for tests and small servers.
-    cache:
-        Optionally share a pre-built
-        :class:`~repro.service.cache.ShardedStructureCache` (e.g. across
-        services in one process); by default the service builds its own
-        from the config's shard count.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        *,
-        cache: ShardedStructureCache | None = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self._config = config if config is not None else ServiceConfig()
-        self.cache = cache if cache is not None else ShardedStructureCache(
-            self._config.num_shards, maxsize=self._config.cache_maxsize
-        )
-        #: The pipeline every solve runs on, sharing the sharded cache.
+        self.cache = StructureCache(self._config.cache_maxsize)
+        #: The pipeline every solve runs on, sharing the structure cache.
         self.pipeline = SolverPipeline(cache=self.cache)
         self.stats = ServiceStats()
         #: Finished request traces (bounded; populated with tracing on).
@@ -290,18 +267,16 @@ class SolveService:
         self._query_artifacts: dict[str, "CompiledQuery"] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread_pool: ThreadPoolExecutor | None = None
-        self._heap: list[tuple[int, int, _Request]] = []
-        #: Admitted-but-undispatched requests; len(self._heap) would
-        #: over-count by the stale entries priority bumps leave behind.
-        self._queued = 0
         self._inflight: dict[tuple, _Request] = {}
         self._open_requests = 0
+        #: Solves executing on a worker thread right now; the rest of
+        #: the open requests wait in the executor's queue.  Written by
+        #: the worker threads, hence the lock.
+        self._running_solves = 0
+        self._running_solves_lock = threading.Lock()
         self._seq = itertools.count()
         self._tasks: set[asyncio.Task] = set()
-        self._dispatch_task: asyncio.Task | None = None
-        self._work_available: asyncio.Event | None = None
         self._capacity: asyncio.Condition | None = None
-        self._slots: asyncio.Semaphore | None = None
         self._running = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -315,7 +290,7 @@ class SolveService:
         return self._config
 
     async def start(self) -> "SolveService":
-        """Start the dispatcher and the worker threads on the running loop."""
+        """Start the worker threads and bind to the running loop."""
         if self._running:
             return self
         self._loop = asyncio.get_running_loop()
@@ -324,59 +299,32 @@ class SolveService:
             max_workers=self._config.thread_workers,
             thread_name_prefix="repro-solve",
         )
-        self._slots = asyncio.Semaphore(self._config.thread_workers)
-        self._work_available = asyncio.Event()
         self._capacity = asyncio.Condition()
         self.metrics.register_collector(self._metrics_collector)
         self._running = True
-        self._dispatch_task = asyncio.create_task(self._dispatch_loop())
         return self
 
     async def stop(self, *, drain: bool = True) -> None:
         """Stop the service; with ``drain`` (default) finish open work.
 
-        Without ``drain``, queued-but-undispatched requests — and with
-        them every coalesced follower sharing their futures — fail
-        *deterministically* with :class:`ServiceClosedError` (never a
-        bare ``CancelledError``), and their fingerprint entries leave
-        the coalescing table immediately so nothing can attach to a
-        dead computation.  Already-running solves are awaited either
-        way (threads cannot be interrupted safely), and their waiters
-        still receive the result.
+        Without ``drain``, requests still waiting in the executor's
+        queue — and with them every coalesced follower sharing their
+        futures — fail *deterministically* with
+        :class:`ServiceClosedError` (never a bare ``CancelledError``),
+        and their fingerprint entries leave the coalescing table before
+        ``stop`` returns; admission is already closed, so nothing can
+        attach to them meanwhile.  Already-running solves are awaited
+        either way (threads cannot be interrupted safely), and their
+        waiters still receive the result.
         """
         if not self._running:
             return
         self._running = False
-        assert self._capacity is not None
+        assert self._capacity is not None and self._thread_pool is not None
         if not drain:
-            while self._heap:
-                _, _, request = heapq.heappop(self._heap)
-                if request.dispatched:
-                    continue
-                request.dispatched = True
-                self._inflight.pop(request.key, None)
-                self._open_requests -= 1
-                self._queued -= 1
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServiceClosedError("service stopped before dispatch")
-                    )
-            # Belt and braces: every undispatched request holds a live
-            # heap entry, but sweep the coalescing table too so a bug in
-            # that invariant degrades to a deterministic error rather
-            # than a follower hung on a future nobody will resolve.
-            for request in list(self._inflight.values()):
-                if request.dispatched:
-                    continue
-                request.dispatched = True
-                del self._inflight[request.key]
-                self._open_requests -= 1
-                self._queued -= 1
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServiceClosedError("service stopped before dispatch")
-                    )
-            self.stats.note_queued(self._queued)
+            # Queued attempts are cancelled; each one's _execute task
+            # then fails its request with ServiceClosedError.
+            self._thread_pool.shutdown(wait=False, cancel_futures=True)
             # Wake submit_many callers blocked on backpressure; their
             # retry observes the stopped service and raises.
             async with self._capacity:
@@ -449,10 +397,6 @@ class SolveService:
 
     async def _teardown(self) -> None:
         """Release every resource ``start`` acquired (stop/drain tail)."""
-        if self._dispatch_task is not None:
-            self._dispatch_task.cancel()
-            await asyncio.gather(self._dispatch_task, return_exceptions=True)
-            self._dispatch_task = None
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
         if self._thread_pool is not None:
@@ -538,7 +482,6 @@ class SolveService:
         source: Structure,
         target: Structure,
         *,
-        priority: Priority | int = Priority.NORMAL,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
         width_threshold: int | None = None,
         try_pebble_refutation: int | None = _UNSET,  # type: ignore[assignment]
@@ -555,7 +498,6 @@ class SolveService:
             return self._submit(
                 source,
                 target,
-                priority=priority,
                 timeout=timeout,
                 width_threshold=width_threshold,
                 try_pebble_refutation=try_pebble_refutation,
@@ -569,7 +511,6 @@ class SolveService:
         q1: "ConjunctiveQuery",
         q2: "ConjunctiveQuery",
         *,
-        priority: Priority | int = Priority.NORMAL,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
     ) -> Awaitable[Solution]:
         """Admit a containment request ``Q1 ⊆ Q2`` (Theorem 2.1 route).
@@ -580,7 +521,7 @@ class SolveService:
         databases built once per query and memoized), then admitted like
         any solve.  Query–query traffic therefore gets everything solves
         get: coalescing (two connections asking the same containment
-        share one computation), priorities, timeouts, and backpressure
+        share one computation), timeouts, and backpressure
         accounting — plus its own ``"containment"`` latency bucket and
         the ``containment_requests`` counter in :class:`ServiceStats`.
 
@@ -609,7 +550,6 @@ class SolveService:
             waiter = self._submit(
                 source,
                 target,
-                priority=priority,
                 timeout=timeout,
                 width_threshold=None,
                 try_pebble_refutation=_UNSET,
@@ -647,7 +587,6 @@ class SolveService:
         target: Structure,
         *,
         k: int = 2,
-        priority: Priority | int = Priority.NORMAL,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
     ) -> Awaitable[Solution]:
         """Admit a canonical-Datalog request (the Theorem 4.2 route).
@@ -657,7 +596,7 @@ class SolveService:
         4.2 the planner answers through the compiled k-pebble game, never
         materializing ρ_B.  The request is admitted like any solve (with
         ``plan`` forced on so the planner strategy can claim it), so it
-        gets coalescing, priorities, timeouts, and backpressure — plus
+        gets coalescing, timeouts, and backpressure — plus
         its own ``"datalog"`` latency bucket and the
         ``datalog_requests`` counter in :class:`ServiceStats`.
 
@@ -671,7 +610,6 @@ class SolveService:
             waiter = self._submit(
                 source,
                 target,
-                priority=priority,
                 timeout=timeout,
                 width_threshold=None,
                 try_pebble_refutation=_UNSET,
@@ -688,7 +626,6 @@ class SolveService:
         self,
         pairs: Iterable[tuple[Structure, Structure]],
         *,
-        priority: Priority | int = Priority.NORMAL,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
         width_threshold: int | None = None,
         try_pebble_refutation: int | None = _UNSET,  # type: ignore[assignment]
@@ -710,7 +647,6 @@ class SolveService:
                             self._submit(
                                 source,
                                 target,
-                                priority=priority,
                                 timeout=timeout,
                                 width_threshold=width_threshold,
                                 try_pebble_refutation=try_pebble_refutation,
@@ -737,7 +673,6 @@ class SolveService:
         source: Structure,
         target: Structure,
         *,
-        priority: Priority | int,
         timeout,
         width_threshold: int | None,
         try_pebble_refutation,
@@ -793,11 +728,7 @@ class SolveService:
         existing = self._inflight.get(key)
         if existing is not None:
             self.stats.coalesce_hits += 1
-            self.recorder.record(
-                "request.coalesced",
-                leader_seq=existing.seq,
-                priority=int(priority),
-            )
+            self.recorder.record("request.coalesced", leader_seq=existing.seq)
             if existing.span is not None:
                 # A follower gets its own (tiny) trace that *links* to
                 # the leader's computation instead of duplicating it.
@@ -821,18 +752,6 @@ class SolveService:
                 existing.token.deadline = None
             elif existing.token.deadline is not None:
                 existing.token.deadline.extend_to(Deadline.after(timeout))
-            if (
-                not existing.dispatched
-                and int(priority) < existing.priority
-            ):
-                # A higher-priority duplicate lifts the queued original:
-                # re-push at the better priority (the stale heap entry is
-                # skipped via the ``dispatched`` flag when it surfaces).
-                existing.priority = int(priority)
-                heapq.heappush(
-                    self._heap,
-                    (existing.priority, existing.seq, existing),
-                )
             return self._wait(existing.future, timeout)
         if self._open_requests >= config.max_pending:
             raise ServiceOverloadedError(
@@ -845,7 +764,6 @@ class SolveService:
             source=source,
             target=target,
             options=options,
-            priority=int(priority),
             future=self._loop.create_future(),
             token=CancellationToken(
                 Deadline.after(timeout) if timeout is not None else None
@@ -858,21 +776,18 @@ class SolveService:
                 "request",
                 seq=request.seq,
                 route=route if route is not None else "solve",
-                priority=int(priority),
             )
         self._inflight[key] = request
         self._open_requests += 1
-        self._queued += 1
-        heapq.heappush(self._heap, (request.priority, request.seq, request))
-        self.stats.note_queued(self._queued)
+        self._note_queue_depth()
         self.recorder.record(
             "request.admitted",
             seq=request.seq,
-            priority=int(priority),
-            queue_depth=self._queued,
+            queue_depth=self.stats.queue_depth,
         )
-        assert self._work_available is not None
-        self._work_available.set()
+        task = asyncio.create_task(self._execute(request))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
         return self._wait(request.future, timeout)
 
     async def _wait(
@@ -905,39 +820,15 @@ class SolveService:
                 ) from None
             raise
 
-    # -- dispatch and execution ----------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        assert self._work_available is not None and self._slots is not None
-        while True:
-            await self._work_available.wait()
-            self._work_available.clear()
-            while self._heap:
-                await self._slots.acquire()
-                # Highest priority *at dispatch time*, FIFO within a
-                # priority class; stale entries left behind by priority
-                # bumps are skipped.
-                request = None
-                while self._heap:
-                    _, _, candidate = heapq.heappop(self._heap)
-                    if not candidate.dispatched:
-                        request = candidate
-                        break
-                if request is None:
-                    self._slots.release()
-                    break
-                request.dispatched = True
-                self._queued -= 1
-                self.stats.note_queued(self._queued)
-                task = asyncio.create_task(self._execute(request))
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-
     # -- telemetry -----------------------------------------------------------
 
     def exposition(self) -> str:
         """This process's metrics in Prometheus text format."""
         return self.metrics.exposition()
+
+    def _note_queue_depth(self) -> None:
+        """Refresh ``stats.queue_depth``: open requests not yet running."""
+        self.stats.note_queued(self._open_requests - self._running_solves)
 
     def _metrics_collector(self):
         """Scrape-time registry view of the service's stat bags.
@@ -966,7 +857,7 @@ class SolveService:
             requests.inc(value, outcome=outcome)
         queue = Gauge(
             "repro_service_queue_depth",
-            "Requests admitted but not yet dispatched.",
+            "Open requests waiting for a worker thread.",
         )
         queue.set(stats.queue_depth)
         cache = Counter(
@@ -997,12 +888,48 @@ class SolveService:
         already-expired deadline fails fast and a running solve is
         abandoned cooperatively once the deadline passes.
         """
-        with cancel_scope(request.token):
-            request.token.check()
-            with child_scope(request.span, "backend.thread"):
-                return self.pipeline.solve(
-                    request.source, request.target, **request.options
-                )
+        if request.span is not None:
+            request.span.attributes.setdefault(
+                "queue_ms",
+                round((time.perf_counter() - request.enqueued_at) * 1000, 4),
+            )
+        with self._running_solves_lock:
+            self._running_solves += 1
+        try:
+            with cancel_scope(request.token):
+                request.token.check()
+                with child_scope(request.span, "backend.thread"):
+                    return self.pipeline.solve(
+                        request.source, request.target, **request.options
+                    )
+        finally:
+            with self._running_solves_lock:
+                self._running_solves -= 1
+
+    async def _run_on_thread(self, request: _Request) -> Solution:
+        """One solve attempt, queued FIFO on the thread pool.
+
+        ``stop(drain=False)`` shuts the pool down: an attempt it
+        cancelled in the queue, or one that arrives after, fails with
+        :class:`ServiceClosedError`.
+        """
+        assert self._loop is not None and self._thread_pool is not None
+        try:
+            attempt = self._loop.run_in_executor(
+                self._thread_pool, self._thread_solve, request
+            )
+        except RuntimeError:  # the pool refuses work after shutdown
+            raise ServiceClosedError(
+                "service stopped before the solve started"
+            ) from None
+        try:
+            return await attempt
+        except asyncio.CancelledError:
+            if self._running or not attempt.cancelled():
+                raise
+            raise ServiceClosedError(
+                "service stopped before the solve started"
+            ) from None
 
     async def _solve_resilient(self, request: _Request) -> Solution:
         """Run the request's solve; re-run only a rescued timeout.
@@ -1012,7 +939,6 @@ class SolveService:
         extended by a more patient coalesced waiter is re-run, at most
         ``retry_budget`` more times.
         """
-        assert self._loop is not None and self._thread_pool is not None
         attempts = max(1, self._config.retry_budget + 1)
         for attempt in range(attempts):
             if attempt:
@@ -1021,9 +947,7 @@ class SolveService:
                     "request.retry", seq=request.seq, attempt=attempt
                 )
             try:
-                solution = await self._loop.run_in_executor(
-                    self._thread_pool, self._thread_solve, request
-                )
+                solution = await self._run_on_thread(request)
             except SolveTimeoutError:
                 if attempt + 1 >= attempts or request.token.expired():
                     raise
@@ -1035,12 +959,6 @@ class SolveService:
 
     async def _execute(self, request: _Request) -> None:
         span = request.span
-        if span is not None:
-            span.set(
-                queue_ms=round(
-                    (time.perf_counter() - request.enqueued_at) * 1000, 4
-                )
-            )
         try:
             delay = faultinject.delay_seconds("service.dispatch.delay")
             if delay > 0.0:
@@ -1074,6 +992,13 @@ class SolveService:
             )
             if not request.future.done():
                 request.future.set_exception(exc)
+        except ServiceClosedError as exc:
+            # stop(drain=False) cut the request before its solve started:
+            # not a failure of the instance.
+            if span is not None:
+                span.set(outcome="closed")
+            if not request.future.done():
+                request.future.set_exception(exc)
         except Exception as exc:  # noqa: BLE001 — forwarded to the waiters
             self.stats.failed += 1
             if span is not None:
@@ -1089,7 +1014,7 @@ class SolveService:
                 self.trace_log.append(span.export())
             self._inflight.pop(request.key, None)
             self._open_requests -= 1
-            assert self._slots is not None and self._capacity is not None
-            self._slots.release()
+            self._note_queue_depth()
+            assert self._capacity is not None
             async with self._capacity:
                 self._capacity.notify_all()

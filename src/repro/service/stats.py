@@ -33,8 +33,9 @@ __all__ = ["LatencyHistogram", "ServiceStats"]
 class ServiceStats:
     """Cumulative counters and histograms of one :class:`SolveService`.
 
-    ``queue_depth`` is the current number of requests admitted but not
-    yet dispatched; ``max_queue_depth`` its high-water mark.  A
+    ``queue_depth`` is the number of open requests not yet running on a
+    worker thread (refreshed at each admission and completion);
+    ``max_queue_depth`` its high-water mark.  A
     "coalesce hit" is a submit that attached to an in-flight duplicate
     instead of enqueuing work; ``rejected`` counts admission-control
     refusals, ``timeouts`` waiters that gave up (the underlying

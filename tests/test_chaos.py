@@ -37,7 +37,7 @@ from repro.exceptions import (
 )
 from repro.csp.generators import random_schaefer_target, random_structure
 from repro.faultinject import FaultPlan
-from repro.service import Priority, ServiceConfig, SolveService
+from repro.service import ServiceConfig, SolveService
 from repro.structures.graphs import clique, random_graph
 from repro.structures.homomorphism import is_homomorphism
 from repro.structures.vocabulary import Vocabulary
@@ -398,17 +398,16 @@ class TestShutdownAndOverloadRaces:
                 queued = asyncio.ensure_future(
                     service.submit(*queued_pair)
                 )
-                # Admission control is priority-blind for *new* work:
-                # a HIGH submission cannot evict open requests.
+                # New work cannot displace open requests: with the
+                # running blocker and the queued request at max_pending,
+                # it is refused at the door.
                 with pytest.raises(ServiceOverloadedError):
-                    service.submit(
-                        *heavy_instance(1), priority=Priority.HIGH
-                    )
+                    service.submit(*heavy_instance(1))
                 assert service.stats.rejected == 1
-                # But a duplicate of queued work coalesces for free even
-                # at low priority — it adds no open request.
+                # But a duplicate of queued work coalesces for free — it
+                # adds no open request.
                 follower = asyncio.ensure_future(
-                    service.submit(*queued_pair, priority=Priority.LOW)
+                    service.submit(*queued_pair)
                 )
                 await asyncio.sleep(0)
                 assert service.stats.coalesce_hits == 1

@@ -34,10 +34,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _edge_harness import RunningEdge, wait_for
+from test_io import JSON_VALUES, STRUCTURE_SHAPED
 from repro.edge import EdgeConfig
 from repro.edge import protocol
+from repro.exceptions import EdgeProtocolError
 from repro.structures.graphs import clique, random_graph
 from repro.structures.io import structure_to_dict
 
@@ -469,16 +473,49 @@ def test_batch_item_errors_are_isolated(edge):
     items = json.loads(response.partition(b"\r\n\r\n")[2])
     assert len(items) == len(rotten_items) + 2
     assert items[0]["verdict"] is False
-    for rotten in items[1:4]:
-        assert rotten["error"]["type"] == "EdgeProtocolError"
-        assert rotten["error"]["status"] == 400
-    for rotten in items[4:-1]:
-        assert rotten["error"]["type"] in (
-            "EdgeProtocolError",
-            "VocabularyError",
-        ), rotten
+    # Every decode failure is the decoder's one typed error, whether the
+    # structure's shape or its vocabulary was rotten.
+    for rotten in items[1:-1]:
+        assert rotten["error"]["type"] == "EdgeProtocolError", rotten
         assert rotten["error"]["status"] == 400
     assert items[-1]["verdict"] is False
+
+
+#: Endpoint-shaped bodies: structure-shaped sources and targets, plus any
+#: JSON value in the other fields an endpoint reads.
+ENDPOINT_SHAPED = st.fixed_dictionaries(
+    {"source": STRUCTURE_SHAPED, "target": STRUCTURE_SHAPED},
+    optional={
+        "op": st.sampled_from(["solve", "containment", "datalog"]) | JSON_VALUES,
+        "k": JSON_VALUES,
+        "q1": JSON_VALUES,
+        "q2": JSON_VALUES,
+        "timeout": JSON_VALUES,
+    },
+)
+BODIES = JSON_VALUES | STRUCTURE_SHAPED | ENDPOINT_SHAPED
+
+
+@given(BODIES | st.lists(BODIES, max_size=3))
+def test_decoders_return_or_raise_typed_400(value):
+    """Any JSON body decodes, or fails as EdgeProtocolError 400 only."""
+    body = protocol.dumps(value)
+    decoders = [
+        protocol.decode_solve,
+        protocol.decode_datalog,
+        protocol.decode_containment,
+        lambda raw: [
+            protocol.decode_batch_item(item, index)
+            for index, item in enumerate(
+                protocol.decode_batch(raw, max_items=4)
+            )
+        ],
+    ]
+    for decode in decoders:
+        try:
+            decode(body)
+        except EdgeProtocolError as exc:
+            assert exc.status == 400
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.exceptions import (
     VocabularyError,
 )
 from repro.csp.generators import random_schaefer_target, random_structure
-from repro.service import Priority, ServiceConfig, SolveService
+from repro.service import ServiceConfig, SolveService
 from repro.structures.graphs import clique, cycle, random_graph
 from repro.structures.homomorphism import is_homomorphism
 from repro.structures.structure import Structure
@@ -207,15 +207,18 @@ class TestAdmissionControl:
         asyncio.run(scenario())
 
 
-class TestPriorities:
-    def test_high_priority_dispatches_before_low(self):
+class TestAdmissionOrder:
+    def test_single_worker_runs_requests_in_admission_order(self):
+        """The thread pool's FIFO queue is the one queue: with one
+        worker, queued requests start (and so finish) in the order they
+        were admitted, and the queue depth drains back to zero."""
         config = ServiceConfig(
             thread_workers=1, max_pending=64
         )
 
         async def scenario():
             async with SolveService(config) as service:
-                order: list[str] = []
+                order: list[int] = []
 
                 async def tagged(label, awaitable):
                     await awaitable
@@ -224,55 +227,16 @@ class TestPriorities:
                 # Occupy the single worker so the queue builds up behind it.
                 blocker = service.submit(*slow_instance())
                 await asyncio.sleep(0.05)
-                low = service.submit(
-                    *cheap_instance(1), priority=Priority.LOW
-                )
-                high = service.submit(
-                    *cheap_instance(2), priority=Priority.HIGH
-                )
-                await asyncio.gather(
-                    blocker, tagged("low", low), tagged("high", high)
-                )
-                assert order == ["high", "low"]
-
-        asyncio.run(scenario())
-
-
-class TestPriorityBump:
-    def test_high_priority_duplicate_lifts_queued_original(self):
-        config = ServiceConfig(
-            thread_workers=1, max_pending=64
-        )
-
-        async def scenario():
-            async with SolveService(config) as service:
-                order: list[str] = []
-
-                async def tagged(label, awaitable):
-                    await awaitable
-                    order.append(label)
-
-                blocker = service.submit(*slow_instance())
-                await asyncio.sleep(0.05)
-                low_a = service.submit(
-                    *cheap_instance(1), priority=Priority.LOW
-                )
-                normal_b = service.submit(
-                    *cheap_instance(2), priority=Priority.NORMAL
-                )
-                # A HIGH duplicate of the LOW request coalesces *and*
-                # lifts the queued original ahead of NORMAL traffic.
-                high_dup = service.submit(
-                    *cheap_instance(1), priority=Priority.HIGH
-                )
-                await asyncio.gather(
-                    blocker,
-                    tagged("a", low_a),
-                    tagged("b", normal_b),
-                    tagged("a-dup", high_dup),
-                )
-                assert order.index("a") < order.index("b")
-                assert service.stats.coalesce_hits == 1
+                queued = [
+                    tagged(seed, service.submit(*cheap_instance(seed)))
+                    for seed in range(1, 6)
+                ]
+                # All five were admitted in one loop step: none is running.
+                assert service.stats.queue_depth >= 5
+                await asyncio.gather(blocker, *queued)
+                assert order == [1, 2, 3, 4, 5]
+                assert service.stats.queue_depth == 0
+                assert service.stats.max_queue_depth >= 5
 
         asyncio.run(scenario())
 

@@ -1,13 +1,13 @@
-"""Thread-safety of StructureCache and the service's sharded cache."""
+"""Thread-safety of StructureCache, the solve service's one cache."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.boolean.schaefer import classify_structure
-from repro.core.pipeline import CacheTally, SolverPipeline, StructureCache
+from repro.core.pipeline import CacheTally, StructureCache
 from repro.csp.generators import random_schaefer_target, random_structure
-from repro.service import ShardedStructureCache
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
 
@@ -53,10 +53,17 @@ class TestStructureCacheThreadSafety:
             )
             for _ in range(threads)
         ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        # Frequent thread switches make a lost counter update likely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         assert not errors
         return threads * rounds
 
@@ -87,53 +94,71 @@ class TestStructureCacheThreadSafety:
         assert (warm.hits, warm.misses) == (0, 1)
 
 
-class TestShardedStructureCache:
-    def test_shard_routing_is_deterministic(self):
-        cache = ShardedStructureCache(4)
-        for target in boolean_targets(10):
-            assert cache.shard_for(target) is cache.shard_for(target)
+class TestLockScope:
+    """The cache lock covers table reads and writes, not ``compute()``."""
 
-    def test_same_object_returned_across_lookups(self):
-        cache = ShardedStructureCache(4)
+    def test_hit_returns_while_another_key_computes(self, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+
+        cache = StructureCache()
+        slow, fast = boolean_targets(2)
+        assert slow != fast
+        cache.compiled_target(fast)
+        entered, release = threading.Event(), threading.Event()
+        compile_target = pipeline_module.compile_target
+
+        def blocking_compile(target):
+            if target == slow:
+                entered.set()
+                release.wait(timeout=30)
+            return compile_target(target)
+
+        monkeypatch.setattr(pipeline_module, "compile_target", blocking_compile)
+        miss = threading.Thread(target=cache.compiled_target, args=(slow,))
+        hit = threading.Thread(target=cache.compiled_target, args=(fast,))
+        miss.start()
+        try:
+            assert entered.wait(timeout=30)
+            hit.start()
+            hit.join(timeout=5)
+            hit_returned = not hit.is_alive()
+        finally:
+            release.set()
+            miss.join(timeout=30)
+            hit.join(timeout=30)
+        assert hit_returned, "a hit waited on another key's compute()"
+        assert not miss.is_alive()
+        assert cache.stats.hits == 1
+
+    def test_concurrent_misses_share_one_entry(self, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+
+        callers = 6
+        cache = StructureCache()
         target = boolean_targets(1)[0]
-        rebuilt = Structure(
-            target.vocabulary, target.universe,
-            {"R": target.relation("R")},
-        )
-        assert cache.compiled_target(target) is cache.compiled_target(rebuilt)
+        # Every caller is inside compute() before any of them inserts.
+        together = threading.Barrier(callers, timeout=30)
+        compile_target = pipeline_module.compile_target
 
-    def test_aggregate_stats_len_and_clear(self):
-        from repro.structures.fingerprint import canonical_fingerprint
+        def racing_compile(structure):
+            together.wait()
+            return compile_target(structure)
 
-        cache = ShardedStructureCache(4)
-        targets = boolean_targets(8)
-        # Seeded generation may repeat a target after closure; the cache
-        # keys (and therefore the counters) see distinct structures only.
-        unique = len({canonical_fingerprint(t) for t in targets})
-        for target in targets:
-            cache.classification(target)
-        for target in targets:
-            cache.classification(target)
-        stats = cache.stats
-        assert stats.misses == unique
-        assert stats.hits == 2 * len(targets) - unique
-        assert len(cache) == unique
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.hits == 0
-
-    def test_concurrent_hammering(self):
-        cache = ShardedStructureCache(4)
-        TestStructureCacheThreadSafety().run_threads(cache, threads=6)
-
-    def test_pipeline_accepts_sharded_cache(self):
-        cache = ShardedStructureCache(2)
-        pipeline = SolverPipeline(cache=cache)
-        source = random_structure(BINARY, 6, 10, seed=1)
-        target = random_schaefer_target(BINARY, 3, "horn", seed=2)
-        first = pipeline.solve(source, target)
-        second = pipeline.solve(source, target)
-        assert first.exists == second.exists
-        # The second solve's analyses all hit the sharded cache.
-        assert second.stats.cache_misses == 0
-        assert second.stats.cache_hits >= 1
+        monkeypatch.setattr(pipeline_module, "compile_target", racing_compile)
+        results: list = []
+        workers = [
+            threading.Thread(
+                target=lambda: results.append(cache.compiled_target(target))
+            )
+            for _ in range(callers)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(results) == callers
+        assert len(cache) == 1
+        entry = cache.compiled_target(target)
+        assert all(result is entry for result in results)
+        assert cache.stats.misses == callers
