@@ -49,7 +49,6 @@ from repro.boolean.schaefer import SchaeferClass, classify_structure
 from repro.core.cancellation import CancellationToken, Deadline, cancel_scope
 from repro.exceptions import VocabularyError
 from repro.kernel.compile import CompiledTarget, compile_target
-from repro.obs import calibration as _calibration
 from repro.obs.metrics import collect_kernel_counters
 from repro.obs.trace import maybe_span
 from repro.structures.fingerprint import canonical_fingerprint
@@ -113,8 +112,7 @@ class SolveStats:
         :data:`repro.obs.metrics.KERNEL_COUNTERS`) collected while the
         winning strategy ran.  ``None`` when no kernel engine ran or the
         hooks are disabled (``REPRO_OBS_METRICS=0``).  Paired with
-        ``plan``, this is the raw material of the plan-vs-actual
-        calibration report.
+        ``plan``, it shows how the planner's cost guess held up.
     """
 
     attempted: tuple[str, ...] = ()
@@ -645,9 +643,6 @@ class SolverPipeline:
             plan=context.scratch.get("plan"),  # type: ignore[arg-type]
             kernel=dict(kernel_bag) if kernel_bag else None,
         )
-        # Planned solves feed the plan-vs-actual calibration log.
-        if stats.plan is not None:
-            _calibration.observe(stats)
         return replace(solution, stats=stats)
 
     def solve_many(

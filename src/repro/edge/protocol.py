@@ -77,8 +77,6 @@ ERROR_STATUS: dict[str, int] = {
     "ResourceBudgetError": 503,
     # the request's deadline elapsed inside the fleet
     "SolveTimeoutError": 504,
-    # deterministic fault injection (chaos runs only)
-    "FaultInjectedError": 500,
 }
 
 #: Statuses that should carry a ``retry-after`` header.

@@ -58,15 +58,6 @@ class ResourceBudgetError(ReproError):
     """
 
 
-class FaultInjectedError(ReproError):
-    """A deterministic fault-injection point fired (:mod:`repro.faultinject`).
-
-    Only ever raised when a fault plan is installed — production traffic
-    cannot see it.  The service treats it like any other exception from
-    inside a solve: no retry, the waiters get this typed error.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for solve-service failures (:mod:`repro.service`)."""
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro import faultinject
 from repro.obs.metrics import kcount
 from repro.structures.structure import Structure
 
@@ -247,7 +246,6 @@ class CompiledSource:
 
 def compile_target(target: Structure | CompiledTarget) -> CompiledTarget:
     """Compile ``target`` (idempotent; memoized on the structure)."""
-    faultinject.raise_fault("kernel.compile.raise")
     if isinstance(target, CompiledTarget):
         return target
     compiled = target._compiled_target

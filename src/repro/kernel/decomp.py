@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 from typing import Hashable
 
-from repro import faultinject
 from repro.core.cancellation import CHECK_MASK, current_token
 from repro.exceptions import ResourceBudgetError, VocabularyError
 from repro.kernel.compile import (
@@ -247,7 +246,7 @@ def solve_decomposition(
     m = len(ctarget.values)
     budget = MAX_TABLE_CELLS if max_table_cells is None else max_table_cells
     worst_table = m ** (program.width + 1)
-    if worst_table > budget or faultinject.fires("decomp.budget"):
+    if worst_table > budget:
         _budget_log.warning(
             "treewidth DP refused: bag-table bound exceeds budget",
             extra={

@@ -6,8 +6,8 @@ repo can instrument itself without import cycles:
 
 * :mod:`repro.obs.trace` — request-scoped :class:`Span` trees with
   monotonic timings, ambient propagation across thread boundaries, and
-  pickled ``(trace_id, parent_span_id)`` coordinates across the process
-  pool;
+  ``(trace_id, parent_span_id)`` coordinates for crossing a process
+  boundary;
 * :mod:`repro.obs.metrics` — the unified :class:`MetricsRegistry`
   (counters / gauges / bucketed histograms, Prometheus text exposition,
   JSON snapshots), the :func:`kcount` kernel-counter hooks with their
@@ -18,14 +18,15 @@ repo can instrument itself without import cycles:
 * :mod:`repro.obs.logs` — the ``repro`` logger hierarchy
   (``NullHandler`` root, per-subsystem children);
 * :mod:`repro.obs.calibration` — the plan-vs-actual
-  :class:`CalibrationLog` behind ``benchmarks/bench_p07_obs.py``.
+  :class:`CalibrationLog` that ``benchmarks/bench_p07_obs.py`` fills
+  from ``solution.stats`` (the solve path keeps no log of its own).
+
+``SolveService`` feeds the recorder and the traces from one record per
+request: one method closes each request into its ``ServiceStats`` fold,
+its recorder event and its span attributes.
 """
 
-from repro.obs.calibration import (
-    CalibrationLog,
-    default_calibration,
-    observed_work,
-)
+from repro.obs.calibration import CalibrationLog, observed_work
 from repro.obs.logs import get_logger, root_logger
 from repro.obs.metrics import (
     Counter,
@@ -65,7 +66,6 @@ __all__ = [
     "child_scope",
     "collect_kernel_counters",
     "current_span",
-    "default_calibration",
     "default_recorder",
     "default_registry",
     "get_logger",

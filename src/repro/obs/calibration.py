@@ -1,17 +1,18 @@
 """Plan-vs-actual calibration: did the planner's cost guess hold up?
 
-Every planned solve deposits one observation here: the route the
-planner chose, the cost it predicted (:class:`repro.kernel.estimate.Plan`),
-and what the kernel *actually did* — the work counter native to that
-route (search nodes for backtracking, bag cells for the treewidth DP,
-pebble steps / datalog rounds for the game engines) plus wall latency.
-``benchmarks/bench_p07_obs.py`` turns the log into per-route
-calibration tables (median predicted vs. median observed, ratio
-spread); that report is the evidence base ROADMAP item 3 asks for
-before replacing the heuristic cost model with theory-backed bounds.
+A :class:`CalibrationLog` folds planned solves' ``SolveStats`` into
+observations: the route the planner chose, the cost it predicted
+(:class:`repro.kernel.estimate.Plan`), and what the kernel *actually
+did* — the work counter native to that route (search nodes for
+backtracking, bag cells for the treewidth DP, pebble steps for the
+pebble and canonical-Datalog routes, which play the same game) plus wall
+latency.  The solve path writes no log: ``benchmarks/bench_p07_obs.py``
+and ``benchmarks/run_all.py`` (P7) each build their own from
+``solution.stats`` and turn it into per-route calibration tables
+(median predicted vs. median observed, ratio spread), the evidence base
+for replacing the heuristic cost model with theory-backed bounds.
 
-The log is bounded and thread-safe; recording is two dict lookups and
-an append, so the pipeline can call it unconditionally.
+The log is bounded and thread-safe.
 """
 
 from __future__ import annotations
@@ -23,19 +24,16 @@ from collections.abc import Mapping
 from statistics import median
 from typing import Any
 
-__all__ = [
-    "CalibrationLog",
-    "default_calibration",
-    "observe",
-    "observed_work",
-]
+__all__ = ["CalibrationLog", "observed_work"]
 
-#: Which kernel counter measures the "work" a route predicted.
+#: Which kernel counter measures the "work" a route predicted.  The
+#: ``datalog`` route decides ρ_B's goal by playing the k-pebble game
+#: (Theorem 4.2), so its work is counted in pebble steps too.
 ROUTE_WORK_COUNTER: dict[str, str] = {
     "search": "search.nodes",
     "dp": "dp.bag_cells",
     "pebble": "pebble.steps",
-    "datalog": "datalog.rounds",
+    "datalog": "pebble.steps",
 }
 
 
@@ -61,25 +59,6 @@ class CalibrationLog:
         self._lock = threading.Lock()
         self._rows: deque[dict[str, Any]] = deque(maxlen=capacity)
 
-    def observe(
-        self,
-        *,
-        route: str,
-        predicted_cost: float,
-        observed: int | None,
-        total_ms: float,
-        fallback: bool = False,
-    ) -> None:
-        row = {
-            "route": route,
-            "predicted_cost": float(predicted_cost),
-            "observed": observed,
-            "total_ms": float(total_ms),
-            "fallback": bool(fallback),
-        }
-        with self._lock:
-            self._rows.append(row)
-
     def observe_solve(self, stats: Any) -> None:
         """Fold one finished ``SolveStats`` in, if it carries a plan."""
         plan = getattr(stats, "plan", None)
@@ -89,15 +68,16 @@ class CalibrationLog:
         predicted = plan.get("predicted_cost")
         if route is None or predicted is None:
             return
-        fallback = any(key.endswith("_fallback") for key in plan)
         timings = getattr(stats, "timings", None) or {}
-        self.observe(
-            route=route,
-            predicted_cost=predicted,
-            observed=observed_work(route, getattr(stats, "kernel", None)),
-            total_ms=float(timings.get("total", 0.0)),  # already in ms
-            fallback=fallback,
-        )
+        row = {
+            "route": route,
+            "predicted_cost": float(predicted),
+            "observed": observed_work(route, getattr(stats, "kernel", None)),
+            "total_ms": float(timings.get("total", 0.0)),  # already in ms
+            "fallback": any(key.endswith("_fallback") for key in plan),
+        }
+        with self._lock:
+            self._rows.append(row)
 
     def rows(self, route: str | None = None) -> list[dict[str, Any]]:
         with self._lock:
@@ -105,10 +85,6 @@ class CalibrationLog:
         if route is None:
             return snapshot
         return [row for row in snapshot if row["route"] == route]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rows.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -154,15 +130,3 @@ class CalibrationLog:
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.report(), indent=indent, sort_keys=True)
-
-
-_DEFAULT_CALIBRATION = CalibrationLog()
-
-
-def default_calibration() -> CalibrationLog:
-    return _DEFAULT_CALIBRATION
-
-
-def observe(stats: Any) -> None:
-    """Record one finished solve into the default calibration log."""
-    _DEFAULT_CALIBRATION.observe_solve(stats)

@@ -10,9 +10,9 @@ Two registration styles coexist:
   direct instruments funneled through :func:`kcount`.
 * **Collectors** — callables registered with
   :meth:`MetricsRegistry.register_collector` that *derive* samples at
-  scrape time from pre-existing stat bags (:class:`ServiceStats`,
-  :class:`CacheTally`, the fault-injection plan).  This
-  is how the existing APIs join the registry without changing shape.
+  scrape time from pre-existing stat bags (:class:`ServiceStats`, the
+  artifact store's counters).  This is how the existing APIs join the
+  registry without changing shape.
 
 Exposition is Prometheus text format (``exposition()``) or a JSON
 snapshot (``snapshot()``).
@@ -352,30 +352,6 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-wide registry the kernel counters report into."""
     return _DEFAULT_REGISTRY
-
-
-def _fault_fires_collector() -> Iterable[_Instrument]:
-    """Scrape-time view of the active fault plan's per-point fire counts.
-
-    Imported lazily so :mod:`repro.obs` stays dependency-free at import
-    time; when no plan is installed the family is simply absent.
-    """
-    from repro import faultinject
-
-    plan = faultinject.current()
-    if plan is None:
-        return ()
-    counter = Counter(
-        "repro_fault_injection_fires_total",
-        "Deterministic fault-injection points that fired.",
-        ("point",),
-    )
-    for point, count in plan.fired.items():
-        counter.inc(count, point=point)
-    return (counter,)
-
-
-_DEFAULT_REGISTRY.register_collector(_fault_fires_collector)
 
 
 # -- kernel counters -----------------------------------------------------

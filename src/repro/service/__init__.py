@@ -19,12 +19,13 @@ the :mod:`repro.core.pipeline`:
   supervisor;
 * :class:`ServiceStats` (:mod:`repro.service.stats`) — queue depth,
   coalesce hits, per-route latency histograms, aggregated per-solve
-  :class:`~repro.core.pipeline.SolveStats`;
+  :class:`~repro.core.pipeline.SolveStats`; each request is counted
+  once at admission and closed once, into its stats, its flight
+  recorder event and its span;
 * one failure path — deadlines propagate into the kernel loops, and a
   failed solve reaches its waiters as a typed error (the one retry is a
   timed-out solve whose deadline a coalesced waiter extended);
-  chaos-tested against the deterministic fault harness
-  (:mod:`repro.faultinject`).
+  chaos-tested with seeded faults patched in from ``tests/``.
 
 Load characteristics are measured by
 ``benchmarks/bench_p03_service_load.py`` (results in
@@ -32,7 +33,6 @@ Load characteristics are measured by
 """
 
 from repro.exceptions import (
-    FaultInjectedError,
     ResourceBudgetError,
     ServiceClosedError,
     ServiceError,
@@ -43,7 +43,6 @@ from repro.service.service import ServiceConfig, SolveService
 from repro.service.stats import LatencyHistogram, ServiceStats
 
 __all__ = [
-    "FaultInjectedError",
     "LatencyHistogram",
     "ResourceBudgetError",
     "ServiceClosedError",

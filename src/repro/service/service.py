@@ -30,15 +30,19 @@ databases.  :class:`SolveService` is that serving layer:
   :class:`~repro.core.pipeline.StructureCache` across the worker
   threads; its lock covers only table reads and writes, so a thread
   computing one structure's analysis never blocks a lookup of another.
-* **Observability** — :class:`~repro.service.stats.ServiceStats` at
-  ``service.stats``: queue depth, coalesce hits, per-route latency
-  histograms, folded per-solve :class:`~repro.core.pipeline.SolveStats`.
-  Plus the unified plane from :mod:`repro.obs`: ``service.metrics``
-  (Prometheus exposition via :meth:`SolveService.exposition`),
-  ``service.recorder`` (a bounded flight recorder of lifecycle events),
-  and — with ``ServiceConfig.trace`` on — ``service.trace_log``, holding
-  one end-to-end span tree per finished request, kernel phases
-  included.
+* **Observability** — one record per request.  A submit is counted
+  once, as admitted, coalesced or rejected; an admitted request closes
+  once, as ``completed``, ``timeout``, ``closed`` or ``failed``, in one
+  method that folds it into :class:`~repro.service.stats.ServiceStats`
+  (``service.stats``: queue depth, coalesce hits, per-route latency
+  histograms, folded per-solve :class:`~repro.core.pipeline.SolveStats`),
+  writes its one event to ``service.recorder`` (a bounded flight
+  recorder) and sets its span attributes from the same fields.
+  ``service.metrics`` (Prometheus exposition via
+  :meth:`SolveService.exposition`) is derived from ``stats.snapshot()``
+  at scrape time, and with ``ServiceConfig.trace`` on,
+  ``service.trace_log`` holds one end-to-end span tree per finished
+  request, kernel phases included.
 * **Failure** — each request carries a deadline that propagates into
   the kernel hot loops (:mod:`repro.core.cancellation`), so a timed-out
   solve stops consuming its worker.  A failed solve has one outcome:
@@ -72,7 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover — annotation-only import
     from repro.cq.query import ConjunctiveQuery
     from repro.persist import ArtifactStore
 
-from repro import faultinject
 from repro.core.cancellation import CancellationToken, Deadline, cancel_scope
 from repro.core.pipeline import (
     DEFAULT_WIDTH_THRESHOLD,
@@ -126,6 +129,29 @@ def _env_store_max_bytes_default() -> int | None:
 #: Distinguishes "caller passed nothing" from an explicit ``None``
 #: (``timeout=None`` means "wait forever").
 _UNSET = object()
+
+#: How a closed request is reported, by outcome: its flight-recorder
+#: event kind and its span's ``outcome`` attribute.  A request that
+#: ``stop(drain=False)`` closed before its solve started has no event.
+_CLOSE_REPORTS: dict[str, tuple[str | None, str]] = {
+    "completed": ("request.completed", "completed"),
+    "timeout": ("request.timeout", "timeout"),
+    "closed": (None, "closed"),
+    "failed": ("request.failed", "error"),
+}
+
+#: ``repro_service_requests_total`` outcome label → ``stats.snapshot()`` key.
+_REQUEST_OUTCOMES = (
+    ("submitted", "submitted"),
+    ("completed", "completed"),
+    ("failed", "failed"),
+    ("rejected", "rejected"),
+    ("timeouts", "timeouts"),
+    ("cancelled", "cancelled_solves"),
+    ("retries", "retries"),
+    ("rescued", "requests_rescued"),
+    ("coalesced", "coalesce_hits"),
+)
 
 
 @dataclass(frozen=True)
@@ -494,17 +520,13 @@ class SolveService:
         Awaiting the result raises :class:`SolveTimeoutError` if the
         per-request timeout elapses first.
         """
-        try:
-            return self._submit(
-                source,
-                target,
-                timeout=timeout,
-                width_threshold=width_threshold,
-                try_pebble_refutation=try_pebble_refutation,
-            )
-        except ServiceOverloadedError:
-            self.stats.rejected += 1
-            raise
+        return self._submit(
+            source,
+            target,
+            timeout=timeout,
+            width_threshold=width_threshold,
+            try_pebble_refutation=try_pebble_refutation,
+        )
 
     def submit_containment(
         self,
@@ -546,20 +568,14 @@ class SolveService:
             # probe.
             self.store.put("query", cq1.fingerprint, cq1)
             self.store.put("query", cq2.fingerprint, cq2)
-        try:
-            waiter = self._submit(
-                source,
-                target,
-                timeout=timeout,
-                width_threshold=None,
-                try_pebble_refutation=_UNSET,
-                route=CONTAINMENT_ROUTE,
-            )
-        except ServiceOverloadedError:
-            self.stats.rejected += 1
-            raise
-        self.stats.containment_requests += 1
-        return waiter
+        return self._submit(
+            source,
+            target,
+            timeout=timeout,
+            width_threshold=None,
+            try_pebble_refutation=_UNSET,
+            route=CONTAINMENT_ROUTE,
+        )
 
     def _compile_query_warm(self, query: "ConjunctiveQuery") -> "CompiledQuery":
         """``compile_query`` through the store-recovered artifact map.
@@ -606,21 +622,15 @@ class SolveService:
         the planner's search fallback decided the instance, with the
         routing visible in ``solution.stats.plan``.
         """
-        try:
-            waiter = self._submit(
-                source,
-                target,
-                timeout=timeout,
-                width_threshold=None,
-                try_pebble_refutation=_UNSET,
-                route=DATALOG_ROUTE,
-                datalog_k=k,
-            )
-        except ServiceOverloadedError:
-            self.stats.rejected += 1
-            raise
-        self.stats.datalog_requests += 1
-        return waiter
+        return self._submit(
+            source,
+            target,
+            timeout=timeout,
+            width_threshold=None,
+            try_pebble_refutation=_UNSET,
+            route=DATALOG_ROUTE,
+            datalog_k=k,
+        )
 
     async def submit_many(
         self,
@@ -634,29 +644,28 @@ class SolveService:
         """Submit a batch and await all results (input order preserved).
 
         Unlike :meth:`submit`, a full service applies *backpressure*
-        instead of rejecting: admission waits for capacity.  With
+        instead of rejecting: admission waits for capacity, and a wait
+        counts neither as a rejection nor as another submit.  With
         ``return_exceptions`` per-request failures (timeouts included)
         come back in the result list instead of raising.
         """
         waiters: list[Awaitable[Solution]] = []
         try:
             for source, target in pairs:
-                while True:
-                    try:
-                        waiters.append(
-                            self._submit(
-                                source,
-                                target,
-                                timeout=timeout,
-                                width_threshold=width_threshold,
-                                try_pebble_refutation=try_pebble_refutation,
-                            )
-                        )
-                        break
-                    except ServiceOverloadedError:
-                        assert self._capacity is not None
-                        async with self._capacity:
-                            await self._capacity.wait()
+                while (
+                    waiter := self._submit(
+                        source,
+                        target,
+                        timeout=timeout,
+                        width_threshold=width_threshold,
+                        try_pebble_refutation=try_pebble_refutation,
+                        backpressure=True,
+                    )
+                ) is None:
+                    assert self._capacity is not None
+                    async with self._capacity:
+                        await self._capacity.wait()
+                waiters.append(waiter)
         except BaseException:
             # Don't leak never-awaited waiter coroutines when a later
             # admission fails; the already-admitted solves themselves
@@ -678,7 +687,14 @@ class SolveService:
         try_pebble_refutation,
         route: str | None = None,
         datalog_k: int | None = None,
-    ) -> Awaitable[Solution]:
+        backpressure: bool = False,
+    ) -> Awaitable[Solution] | None:
+        """Admit, coalesce or refuse one submit; counted once either way.
+
+        A full service raises :class:`ServiceOverloadedError`, counted as
+        a rejection; with ``backpressure`` it returns ``None`` instead and
+        counts nothing, so :meth:`submit_many` can wait and try again.
+        """
         if not self._running or self._loop is None:
             raise ServiceClosedError(
                 "service is not running; use 'async with SolveService()'"
@@ -724,10 +740,9 @@ class SolveService:
             options["try_canonical_datalog"],
             route,
         )
-        self.stats.submitted += 1
         existing = self._inflight.get(key)
         if existing is not None:
-            self.stats.coalesce_hits += 1
+            self.stats.note_submitted(route, "coalesced")
             self.recorder.record("request.coalesced", leader_seq=existing.seq)
             if existing.span is not None:
                 # A follower gets its own (tiny) trace that *links* to
@@ -754,10 +769,14 @@ class SolveService:
                 existing.token.deadline.extend_to(Deadline.after(timeout))
             return self._wait(existing.future, timeout)
         if self._open_requests >= config.max_pending:
+            if backpressure:
+                return None
+            self.stats.note_submitted(route, "rejected")
             raise ServiceOverloadedError(
                 f"{self._open_requests} open requests "
                 f"(max_pending={config.max_pending})"
             )
+        self.stats.note_submitted(route, "admitted")
         request = _Request(
             seq=next(self._seq),
             key=key,
@@ -831,54 +850,43 @@ class SolveService:
         self.stats.note_queued(self._open_requests - self._running_solves)
 
     def _metrics_collector(self):
-        """Scrape-time registry view of the service's stat bags.
+        """Scrape-time registry view of ``stats.snapshot()``.
 
-        Derives throwaway instruments from :class:`ServiceStats` and its
-        latency histograms, so those APIs keep their shape while still
-        showing up in one exposition.
+        Derives throwaway instruments from the one snapshot the
+        benchmark and ``/v1/healthz?full=1`` also read, so the exposition
+        cannot disagree with them.
         """
-        stats = self.stats
+        snapshot = self.stats.snapshot()
         requests = Counter(
             "repro_service_requests_total",
             "Request lifecycle outcomes of the solve service.",
             ("outcome",),
         )
-        for outcome, value in (
-            ("submitted", stats.submitted),
-            ("completed", stats.completed),
-            ("failed", stats.failed),
-            ("rejected", stats.rejected),
-            ("timeouts", stats.timeouts),
-            ("cancelled", stats.cancelled_solves),
-            ("retries", stats.retries),
-            ("rescued", stats.requests_rescued),
-            ("coalesced", stats.coalesce_hits),
-        ):
-            requests.inc(value, outcome=outcome)
+        for outcome, key in _REQUEST_OUTCOMES:
+            requests.inc(snapshot[key], outcome=outcome)
         queue = Gauge(
             "repro_service_queue_depth",
             "Open requests waiting for a worker thread.",
         )
-        queue.set(stats.queue_depth)
+        queue.set(snapshot["queue_depth"])
         cache = Counter(
             "repro_service_cache_events_total",
             "Structure-cache traffic folded from per-solve stats.",
             ("event",),
         )
-        cache.inc(stats.solve_cache_hits, event="hit")
-        cache.inc(stats.solve_cache_misses, event="miss")
+        cache.inc(snapshot["solve_cache_hits"], event="hit")
+        cache.inc(snapshot["solve_cache_misses"], event="miss")
         latency = Gauge(
             "repro_service_latency_ms",
             "End-to-end latency percentiles per route (milliseconds).",
             ("route", "quantile"),
         )
-        for route, histogram in stats.route_latency.items():
-            if not histogram.count:
+        for route, entry in snapshot["routes"].items():
+            if not entry["count"]:
                 continue
-            p50, p95, p99 = histogram.percentiles(50, 95, 99)
-            latency.set(p50, route=route, quantile="0.5")
-            latency.set(p95, route=route, quantile="0.95")
-            latency.set(p99, route=route, quantile="0.99")
+            latency.set(entry["p50_ms"], route=route, quantile="0.5")
+            latency.set(entry["p95_ms"], route=route, quantile="0.95")
+            latency.set(entry["p99_ms"], route=route, quantile="0.99")
         return requests, queue, cache, latency
 
     def _thread_solve(self, request: _Request) -> Solution:
@@ -958,63 +966,67 @@ class SolveService:
         raise AssertionError("unreachable: the loop returns or raises")
 
     async def _execute(self, request: _Request) -> None:
-        span = request.span
+        """Run the request's solve and close it with one outcome."""
+        solution: Solution | None = None
+        error: BaseException | None = None
+        outcome = "completed"
         try:
-            delay = faultinject.delay_seconds("service.dispatch.delay")
-            if delay > 0.0:
-                await asyncio.sleep(delay)
             solution = await self._solve_resilient(request)
-            latency_ms = (time.perf_counter() - request.enqueued_at) * 1000
-            self.stats.note_completed(solution, latency_ms, route=request.route)
-            if span is not None:
-                span.set(
-                    outcome="completed",
-                    strategy=solution.strategy,
-                    latency_ms=round(latency_ms, 4),
-                )
-            self.recorder.record(
-                "request.completed",
-                seq=request.seq,
-                latency_ms=round(latency_ms, 3),
-            )
-            if not request.future.done():
-                request.future.set_result(solution)
         except SolveTimeoutError as exc:
-            # The computation itself was cancelled cooperatively — the
-            # deadline expired inside a kernel loop.  Not a failure of
-            # the instance: the waiters see a timeout, and nothing about
-            # it outlives the in-flight window.
-            self.stats.cancelled_solves += 1
-            if span is not None:
-                span.set(outcome="timeout")
-            self.recorder.record(
-                "request.timeout", seq=request.seq, error=str(exc)
-            )
-            if not request.future.done():
-                request.future.set_exception(exc)
+            # The deadline expired inside a kernel loop: the waiters see
+            # a timeout, which is not a failure of the instance.
+            outcome, error = "timeout", exc
         except ServiceClosedError as exc:
-            # stop(drain=False) cut the request before its solve started:
-            # not a failure of the instance.
-            if span is not None:
-                span.set(outcome="closed")
-            if not request.future.done():
-                request.future.set_exception(exc)
+            # stop(drain=False) cut the request before its solve started.
+            outcome, error = "closed", exc
         except Exception as exc:  # noqa: BLE001 — forwarded to the waiters
-            self.stats.failed += 1
-            if span is not None:
-                span.set(outcome="error", error=type(exc).__name__)
-            self.recorder.record(
-                "request.failed", seq=request.seq, error=repr(exc)
-            )
-            if not request.future.done():
-                request.future.set_exception(exc)
+            outcome, error = "failed", exc
+        except BaseException:
+            # Cancelled (the loop is shutting down) or interrupted: the
+            # waiters still get a typed error and the slot is released.
+            outcome = "closed"
+            error = ServiceClosedError("service closed while in flight")
+            raise
         finally:
-            if span is not None:
-                span.end()
-                self.trace_log.append(span.export())
-            self._inflight.pop(request.key, None)
-            self._open_requests -= 1
-            self._note_queue_depth()
-            assert self._capacity is not None
-            async with self._capacity:
-                self._capacity.notify_all()
+            await self._close(request, outcome, solution, error)
+
+    async def _close(
+        self,
+        request: _Request,
+        outcome: str,
+        solution: Solution | None,
+        error: BaseException | None,
+    ) -> None:
+        """Close one admitted request: the one place its fate is written.
+
+        Folds the outcome into ``stats``, writes the request's one
+        flight-recorder event and its span attributes from the same
+        fields, exports the span, resolves the shared future and
+        releases the in-flight slot.
+        """
+        latency_ms = (time.perf_counter() - request.enqueued_at) * 1000
+        self.stats.note_closed(outcome, latency_ms, solution, request.route)
+        event, span_outcome = _CLOSE_REPORTS[outcome]
+        fields: dict = {"latency_ms": round(latency_ms, 3)}
+        if error is not None:
+            fields["error"] = repr(error)
+        if event is not None:
+            self.recorder.record(event, seq=request.seq, **fields)
+        span = request.span
+        if span is not None:
+            if solution is not None:
+                fields["strategy"] = solution.strategy
+            span.set(outcome=span_outcome, **fields)
+            span.end()
+            self.trace_log.append(span.export())
+        if not request.future.done():
+            if error is None:
+                request.future.set_result(solution)
+            else:
+                request.future.set_exception(error)
+        self._inflight.pop(request.key, None)
+        self._open_requests -= 1
+        self._note_queue_depth()
+        assert self._capacity is not None
+        async with self._capacity:
+            self._capacity.notify_all()

@@ -10,8 +10,13 @@ solution's ``strategy`` label (collapsed through
 ``solve_cache_hits`` / ``solve_cache_misses`` counters are the sums of
 the per-solution ``SolveStats`` counters.
 
-All mutation happens on the service's event-loop thread, so the counters
-need no locking.
+The service writes a request's fate in two places:
+:meth:`ServiceStats.note_submitted` when a submit is admitted, coalesced
+or refused, and :meth:`ServiceStats.note_closed` when an admitted
+request closes.  Beside them it counts only the per-waiter ``timeouts``
+and the per-attempt ``retries`` / ``requests_rescued``.  All of it
+happens on the service's event-loop thread, so the counters need no
+locking.
 """
 
 from __future__ import annotations
@@ -19,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import Solution
-from repro.core.strategies import base_route, service_route_names
+from repro.core.strategies import (
+    CONTAINMENT_ROUTE,
+    DATALOG_ROUTE,
+    base_route,
+    service_route_names,
+)
 
 # LatencyHistogram's home moved to the observability plane; this
 # re-export keeps the long-standing ``repro.service.stats`` (and
@@ -87,18 +97,46 @@ class ServiceStats:
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
 
-    def note_completed(
-        self,
-        solution: Solution,
-        latency_ms: float,
-        route: str | None = None,
-    ) -> None:
-        """Fold one finished solve into the service-wide picture.
+    def note_submitted(self, route: str | None, admission: str) -> None:
+        """Fold one submit in: ``admitted``, ``coalesced`` or ``rejected``.
 
-        ``route`` overrides the latency bucket (the service passes
-        ``"containment"`` for query–query traffic); by default the
-        bucket is the solving strategy's base route.
+        The one admission write site.  ``containment_requests`` and
+        ``datalog_requests`` follow the request's route, coalesced
+        followers included; a refused submit counts only as ``rejected``.
         """
+        self.submitted += 1
+        if admission == "rejected":
+            self.rejected += 1
+            return
+        if admission == "coalesced":
+            self.coalesce_hits += 1
+        if route == CONTAINMENT_ROUTE:
+            self.containment_requests += 1
+        elif route == DATALOG_ROUTE:
+            self.datalog_requests += 1
+
+    def note_closed(
+        self,
+        outcome: str,
+        latency_ms: float,
+        solution: Solution | None,
+        route: str | None,
+    ) -> None:
+        """Fold one closed request in: the one completion write site.
+
+        ``timeout`` counts in ``cancelled_solves`` and ``failed`` in
+        ``failed``; a request ``closed`` by ``stop(drain=False)`` before
+        its solve started counts in neither.  A ``completed`` solve adds
+        its per-solve cache counters and its latency, bucketed by
+        ``route`` (the service passes ``"containment"`` / ``"datalog"``)
+        or else by the solving strategy's base route.
+        """
+        if outcome == "timeout":
+            self.cancelled_solves += 1
+        elif outcome == "failed":
+            self.failed += 1
+        if outcome != "completed":
+            return
         self.completed += 1
         if solution.stats is not None:
             self.solve_cache_hits += solution.stats.cache_hits

@@ -1,7 +1,7 @@
 """Deterministic chaos suite for the solve service's failure path.
 
-Every test here drives the real service against the seeded
-fault-injection harness (:mod:`repro.faultinject`) and asserts the
+Every test here drives the real service against seeded faults patched
+in from the test side (``tests/_faults.py``) and asserts the
 *termination invariant*: every admitted request terminates with either a
 parity-correct :class:`Solution` or a typed
 :class:`~repro.exceptions.ReproError` — never a hang, a lost future, a
@@ -22,21 +22,20 @@ from __future__ import annotations
 import asyncio
 import os
 import random
+import threading
 import time
 
 import pytest
 
-from repro import faultinject
+from _faults import FaultPlan, InjectedFault, armed
 from repro.core.cancellation import Deadline
 from repro.exceptions import (
-    FaultInjectedError,
     ReproError,
     ServiceClosedError,
     ServiceOverloadedError,
     SolveTimeoutError,
 )
 from repro.csp.generators import random_schaefer_target, random_structure
-from repro.faultinject import FaultPlan
 from repro.service import ServiceConfig, SolveService
 from repro.structures.graphs import clique, random_graph
 from repro.structures.homomorphism import is_homomorphism
@@ -74,8 +73,8 @@ def _corpus():
     Cheap Schaefer instances (thread backend, DP/search routes), small
     clique searches (backtracking), and dense-graph colorings the
     planner sends through the canonical-Datalog plane — so a storm
-    reaches the kernel fault point on every route and the decomp one on
-    the DP routes.
+    reaches the compile fault point on every route that compiles its
+    target and the decomp one on the DP routes.
     """
     instances = [cheap_instance(seed) for seed in range(12)]
     instances += [heavy_instance(seed) for seed in range(4)]
@@ -89,8 +88,7 @@ def _corpus():
 
 
 def _expected(corpus):
-    """Ground truth, computed fault-free before any plan is installed."""
-    assert faultinject.current() is None
+    """Ground truth, computed fault-free before any plan is armed."""
     pipeline = SolveService(ServiceConfig()).pipeline
     return [pipeline.solve(source, target).exists for source, target in corpus]
 
@@ -133,28 +131,31 @@ def _run_thread_storm(seed: int) -> None:
             rng = random.Random(seed)
             indexed = []
             waiters = []
-            for _ in range(3):
-                for index, (source, target) in enumerate(corpus):
-                    timeout = rng.choice([None, None, None, 2.0, 0.05])
-                    # The dense tail of the corpus routes through the
-                    # canonical-Datalog plane; ask for it so the storm
-                    # covers the Theorem 4.2 route too.
-                    if index % 4 == 0 or index >= 16:
-                        waiter = service.submit_datalog(
-                            source, target, k=2, timeout=timeout
-                        )
-                    else:
-                        waiter = service.submit(
-                            source, target, timeout=timeout
-                        )
-                    indexed.append(index)
-                    waiters.append(waiter)
-            results = await asyncio.gather(*waiters, return_exceptions=True)
+            with armed(plan):
+                for _ in range(3):
+                    for index, (source, target) in enumerate(corpus):
+                        timeout = rng.choice([None, None, None, 2.0, 0.05])
+                        # The dense tail of the corpus routes through the
+                        # canonical-Datalog plane; ask for it so the storm
+                        # covers the Theorem 4.2 route too.
+                        if index % 4 == 0 or index >= 16:
+                            waiter = service.submit_datalog(
+                                source, target, k=2, timeout=timeout
+                            )
+                        else:
+                            waiter = service.submit(
+                                source, target, timeout=timeout
+                            )
+                        indexed.append(index)
+                        waiters.append(waiter)
+                results = await asyncio.gather(
+                    *waiters, return_exceptions=True
+                )
+            assert plan.fired, "the storm fired no fault"
             _check_invariant(zip(indexed, results), corpus, expected)
             # No stale coalescing entry survives the storm.
             assert not service._inflight
             # The service serves fresh traffic once the faults stop.
-            faultinject.uninstall()
             for index in (0, 5, 13, 16):
                 solution = await service.submit(*corpus[index])
                 assert solution.exists == expected[index]
@@ -166,11 +167,7 @@ def _run_thread_storm(seed: int) -> None:
             counts = service.recorder.counts()
             assert counts.get("request.retry", 0) == stats["retries"]
 
-    faultinject.install(plan)
-    try:
-        asyncio.run(asyncio.wait_for(scenario(), STORM_TIMEOUT))
-    finally:
-        faultinject.uninstall()
+    asyncio.run(asyncio.wait_for(scenario(), STORM_TIMEOUT))
 
 
 class TestThreadChaos:
@@ -199,18 +196,13 @@ class TestFailureContract:
 
         async def scenario():
             async with SolveService(config) as service:
-                faultinject.install(
-                    FaultPlan(0, {"kernel.compile.raise": 1.0})
-                )
-                try:
+                with armed(FaultPlan(0, {"kernel.compile.raise": 1.0})):
                     for pair in pairs:
                         # One attempt, one typed error: the fault is not
                         # retried and no other engine answers instead.
-                        with pytest.raises(FaultInjectedError):
+                        with pytest.raises(InjectedFault):
                             await service.submit(*pair)
                         assert service.stats.retries == 0
-                finally:
-                    faultinject.uninstall()
                 assert service.stats.failed == 2
                 assert service.stats.completed == 0
                 # Fault-free again, both get the fault-free verdict.
@@ -220,10 +212,7 @@ class TestFailureContract:
                     assert "legacy-engine" not in solution.strategy
                 assert service.stats.retries == 0
 
-        try:
-            asyncio.run(asyncio.wait_for(scenario(), STORM_TIMEOUT))
-        finally:
-            faultinject.uninstall()
+        asyncio.run(asyncio.wait_for(scenario(), STORM_TIMEOUT))
 
     @pytest.mark.parametrize("extended", [True, False])
     def test_timeout_is_rerun_only_after_a_deadline_extension(
@@ -358,10 +347,23 @@ class TestShutdownAndOverloadRaces:
 
         async def scenario():
             service = await SolveService(config).start()
+            # The blocker holds the single worker until the test lets it
+            # go, after stop(): the staging does not depend on timing.
+            started, release = threading.Event(), threading.Event()
+            solve = service._thread_solve
+
+            def gated(request):
+                if not started.is_set():
+                    started.set()
+                    release.wait(STORM_TIMEOUT)
+                return solve(request)
+
+            service._thread_solve = gated
             blocker = asyncio.ensure_future(
-                service.submit(*slow_instance())
+                service.submit(clique(4), clique(3))
             )
-            await asyncio.sleep(0.05)  # single worker now occupied
+            while not started.is_set():
+                await asyncio.sleep(0.001)
             queued_pair = cheap_instance(3)
             queued = asyncio.ensure_future(service.submit(*queued_pair))
             follower = asyncio.ensure_future(
@@ -369,14 +371,17 @@ class TestShutdownAndOverloadRaces:
             )
             await asyncio.sleep(0)  # both are waiting behind the blocker
             assert service.stats.coalesce_hits == 1
-            await service.stop(drain=False)
+            stopping = asyncio.ensure_future(service.stop(drain=False))
             # Queued leader AND coalesced follower fail with the typed
-            # closure error — never a bare CancelledError — and the
-            # fingerprint table holds no stale entry.
+            # closure error — never a bare CancelledError.
             with pytest.raises(ServiceClosedError):
                 await queued
             with pytest.raises(ServiceClosedError):
                 await follower
+            release.set()
+            await stopping
+            # The fingerprint table holds no stale entry, and the
+            # already-running solve still answers its waiter.
             assert not service._inflight
             solution = await blocker
             assert not solution.exists

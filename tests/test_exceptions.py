@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import (
     DatalogError,
     DecompositionError,
-    FaultInjectedError,
     NotBooleanError,
     NotSchaeferError,
     ParseError,
@@ -31,7 +30,6 @@ class TestHierarchy:
             DecompositionError,
             DatalogError,
             ResourceBudgetError,
-            FaultInjectedError,
             SolveTimeoutError,
         ],
     )

@@ -29,7 +29,6 @@ from repro.obs import (
     TraceLog,
     collect_kernel_counters,
     current_span,
-    default_calibration,
     default_registry,
     get_logger,
     kcount,
@@ -345,18 +344,38 @@ class TestCalibration:
         assert observed_work("pebble", kernel) is None
         assert observed_work("search", None) is None
 
-    def test_planned_solve_feeds_the_default_log(self):
-        log = default_calibration()
-        before = len(log)
+    def test_planned_solve_folds_into_a_caller_log(self):
+        # The solve path keeps no log: a caller folds solution.stats in,
+        # as bench_p07_obs.py and run_all.py's P7 do.
         pipeline = SolverPipeline()
         solution = pipeline.solve(
             clique(3), random_graph(8, 0.7, seed=1), plan=True
         )
         assert solution.stats is not None and solution.stats.plan
-        assert len(log) == before + 1
+        log = CalibrationLog()
+        log.observe_solve(solution.stats)
+        assert len(log) == 1
         row = log.rows()[-1]
         assert row["route"] == solution.stats.plan["route"]
         assert row["predicted_cost"] > 0
+
+    def test_planned_datalog_solve_observes_pebble_steps(self):
+        # The datalog route plays the k-pebble game (Theorem 4.2), so
+        # its observed work is the game's step count.
+        solution = SolverPipeline().solve(
+            clique(4),
+            clique(3),
+            plan=True,
+            try_canonical_datalog=3,
+            width_threshold=1,
+        )
+        assert solution.stats.plan["route"] == "datalog"
+        log = CalibrationLog()
+        log.observe_solve(solution.stats)
+        observed = log.rows()[-1]["observed"]
+        assert observed is not None
+        assert observed == solution.stats.kernel["pebble.steps"] > 0
+
 
 
 # -- the service end-to-end (acceptance criteria) -------------------------

@@ -2,7 +2,7 @@
 
 Covers the building blocks the chaos suite (``tests/test_chaos.py``)
 exercises end to end: deadlines and cooperative cancellation tokens,
-and the seeded fault-injection plan.
+and the seeded fault plan it patches in (``tests/_faults.py``).
 """
 
 from __future__ import annotations
@@ -11,8 +11,11 @@ import os
 
 import pytest
 
-from repro import faultinject
-from repro.exceptions import FaultInjectedError, SolveTimeoutError
+import repro.core.pipeline as pipeline_module
+import repro.kernel.decomp as decomp
+from _faults import FaultPlan, InjectedFault, armed
+from repro.core.pipeline import SolverPipeline
+from repro.exceptions import SolveTimeoutError
 from repro.core.cancellation import (
     CancellationToken,
     Deadline,
@@ -21,7 +24,8 @@ from repro.core.cancellation import (
     combine_deadlines,
     current_token,
 )
-from repro.faultinject import FaultPlan
+from repro.service import SolveService
+from repro.structures.graphs import clique, cycle
 
 
 class TestDeadline:
@@ -129,19 +133,31 @@ class TestFaultPlan:
 
     def test_install_uninstall_and_env_round_trip(self):
         environ = dict(os.environ)
-        assert faultinject.current() is None
-        assert not faultinject.fires("x")
-        assert faultinject.delay_seconds("x") == 0.0
-        faultinject.raise_fault("x")  # disarmed: no-op
-        plan = FaultPlan(1, {"x": 1.0})
-        try:
-            faultinject.install(plan)
-            assert faultinject.current() is plan
-            with pytest.raises(FaultInjectedError):
-                faultinject.raise_fault("x")
-        finally:
-            faultinject.uninstall()
-        assert faultinject.current() is None
+
+        def points():
+            return (
+                pipeline_module.compile_target,
+                decomp.MAX_TABLE_CELLS,
+                SolveService._thread_solve,
+            )
+
+        disarmed = points()
+        with armed(FaultPlan(1, {"kernel.compile.raise": 1.0})) as plan:
+            assert all(a is not b for a, b in zip(points(), disarmed))
+            with pytest.raises(InjectedFault):
+                pipeline_module.compile_target(clique(3))
+            assert plan.fired == {"kernel.compile.raise": 1}
+        assert points() == disarmed
+        assert type(decomp.MAX_TABLE_CELLS) is int
         # Plans arm this process only: nothing is exported to, or left
         # behind in, the environment.
         assert dict(os.environ) == environ
+
+    def test_budget_point_trips_the_real_guard(self):
+        # A fired draw reaches the DP's own guard, whose caller falls
+        # back to search with the same verdict.
+        with armed(FaultPlan(0, {"decomp.budget": 1.0})) as plan:
+            solution = SolverPipeline().solve(cycle(5), clique(3))
+        assert plan.fired == {"decomp.budget": 1}
+        assert "fallback=search-budget" in solution.strategy
+        assert solution.exists

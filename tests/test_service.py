@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import threading
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.exceptions import (
     SolveTimeoutError,
     VocabularyError,
 )
+from repro.cq.parser import parse_query
 from repro.csp.generators import random_schaefer_target, random_structure
 from repro.service import ServiceConfig, SolveService
 from repro.structures.graphs import clique, cycle, random_graph
@@ -201,7 +204,10 @@ class TestAdmissionControl:
             async with SolveService(config) as service:
                 solutions = await service.submit_many(pairs)
                 assert len(solutions) == len(pairs)
+                # A backpressure wait is neither a rejection nor a
+                # second submit of the same request.
                 assert service.stats.rejected == 0
+                assert service.stats.submitted == len(pairs)
                 assert service.stats.completed >= 1
 
         asyncio.run(scenario())
@@ -357,3 +363,246 @@ class TestStats:
             bucket["count"] for bucket in snapshot["routes"].values()
         )
         assert total_route_count == 1
+
+
+#: The counters of ``ServiceStats.snapshot()`` a request's record moves.
+_COUNTERS = (
+    "submitted",
+    "completed",
+    "failed",
+    "rejected",
+    "timeouts",
+    "cancelled_solves",
+    "retries",
+    "requests_rescued",
+    "coalesce_hits",
+    "containment_requests",
+    "datalog_requests",
+)
+
+
+class _Ledger:
+    """What one step added to the stats, the recorder and the traces."""
+
+    def __init__(self, service: SolveService) -> None:
+        self.service = service
+        self.mark()
+
+    def mark(self) -> None:
+        self.stats = self.service.stats.snapshot()
+        self.events = len(self.service.recorder.events())
+        self.traces = len(self.service.trace_log)
+
+    async def step(self):
+        # Let done-callbacks (a follower's span export) and the closing
+        # of a request whose waiter already gave up run first.
+        while self.service._open_requests:
+            await asyncio.sleep(0.001)
+        await asyncio.sleep(0)
+        after = self.service.stats.snapshot()
+        stats = {
+            key: after[key] - self.stats[key]
+            for key in _COUNTERS
+            if after[key] != self.stats[key]
+        }
+        events = self.service.recorder.events()[self.events :]
+        traces = self.service.trace_log.dump()[self.traces :]
+        self.mark()
+        return stats, events, traces
+
+
+def _kinds(events) -> dict[str, int]:
+    return dict(Counter(event["kind"] for event in events))
+
+
+def _outcomes(traces) -> list[tuple[str, str | None]]:
+    return sorted(
+        (trace["name"], trace["attributes"].get("outcome")) for trace in traces
+    )
+
+
+class TestOneRecord:
+    """Each outcome is written once: stats, recorder and span agree."""
+
+    def test_every_outcome_agrees_across_stats_recorder_and_span(self):
+        config = ServiceConfig(
+            thread_workers=1, max_pending=2, retry_budget=0, trace=True
+        )
+
+        async def scenario():
+            service = await SolveService(config).start()
+            ledger = _Ledger(service)
+
+            # completed
+            await service.submit(*cheap_instance(0))
+            stats, events, traces = await ledger.step()
+            assert stats == {"submitted": 1, "completed": 1}
+            assert _kinds(events) == {
+                "request.admitted": 1,
+                "request.completed": 1,
+            }
+            assert _outcomes(traces) == [("request", "completed")]
+            # The recorder event and the span share their fields.
+            assert (
+                events[-1]["latency_ms"]
+                == traces[0]["attributes"]["latency_ms"]
+            )
+
+            # coalesced follower: one computation, two waiters
+            pair = cheap_instance(1)
+            leader, follower = await asyncio.gather(
+                service.submit(*pair), service.submit(*pair)
+            )
+            assert leader is follower
+            stats, events, traces = await ledger.step()
+            assert stats == {
+                "submitted": 2,
+                "coalesce_hits": 1,
+                "completed": 1,
+            }
+            assert _kinds(events) == {
+                "request.admitted": 1,
+                "request.coalesced": 1,
+                "request.completed": 1,
+            }
+            assert _outcomes(traces) == [
+                ("request", "completed"),
+                ("request.coalesced", None),
+            ]
+
+            # cooperative timeout: the kernel unwinds at the deadline
+            with pytest.raises(SolveTimeoutError):
+                await service.submit(*slow_instance(), timeout=0.05)
+            stats, events, traces = await ledger.step()
+            assert stats == {
+                "submitted": 1,
+                "timeouts": 1,
+                "cancelled_solves": 1,
+            }
+            assert _kinds(events) == {
+                "request.admitted": 1,
+                "request.timeout": 1,
+            }
+            assert _outcomes(traces) == [("request", "timeout")]
+            assert "SolveTimeoutError" in events[-1]["error"]
+            assert events[-1]["error"] == traces[0]["attributes"]["error"]
+
+            # failed solve: the waiter gets the solve's own exception
+            solve = service._thread_solve
+
+            def broken(request):
+                raise ValueError("kernel bug")
+
+            service._thread_solve = broken
+            with pytest.raises(ValueError, match="kernel bug"):
+                await service.submit(*cheap_instance(2))
+            service._thread_solve = solve
+            stats, events, traces = await ledger.step()
+            assert stats == {"submitted": 1, "failed": 1}
+            assert _kinds(events) == {
+                "request.admitted": 1,
+                "request.failed": 1,
+            }
+            assert _outcomes(traces) == [("request", "error")]
+
+            # the containment and Datalog counters follow the route
+            await service.submit_containment(
+                parse_query("Q(X) :- E(X, Y), E(Y, Z)."),
+                parse_query("Q(X) :- E(X, Y)."),
+            )
+            await service.submit_datalog(cycle(5), clique(2), k=2)
+            stats, events, traces = await ledger.step()
+            assert stats == {
+                "submitted": 2,
+                "completed": 2,
+                "containment_requests": 1,
+                "datalog_requests": 1,
+            }
+            assert _kinds(events) == {
+                "request.admitted": 2,
+                "request.completed": 2,
+            }
+
+            # admission-rejected, then stop(drain=False)-closed: a gated
+            # blocker holds the one worker, one request queues behind
+            # it, and max_pending=2 refuses a third at the door.
+            started, release = threading.Event(), threading.Event()
+
+            def gated(request):
+                started.set()
+                release.wait(30)
+                return solve(request)
+
+            service._thread_solve = gated
+            blocker = asyncio.ensure_future(
+                service.submit(clique(4), clique(3))
+            )
+            while not started.is_set():
+                await asyncio.sleep(0.001)
+            service._thread_solve = solve
+            queued = asyncio.ensure_future(service.submit(*cheap_instance(3)))
+            await asyncio.sleep(0)
+            with pytest.raises(ServiceOverloadedError):
+                service.submit(*cheap_instance(4))
+            assert service.stats.rejected == 1
+            stopping = asyncio.ensure_future(service.stop(drain=False))
+            with pytest.raises(ServiceClosedError):
+                await queued
+            release.set()
+            await stopping
+            assert not (await blocker).exists
+            stats, events, traces = await ledger.step()
+            assert stats == {"submitted": 3, "rejected": 1, "completed": 1}
+            assert _kinds(events) == {
+                "request.admitted": 2,
+                "request.completed": 1,
+            }
+            assert _outcomes(traces) == [
+                ("request", "closed"),
+                ("request", "completed"),
+            ]
+            return service
+
+        asyncio.run(asyncio.wait_for(scenario(), 60))
+
+    def test_snapshot_keys_and_request_outcome_labels_are_pinned(self):
+        async def scenario():
+            async with SolveService(THREADS_ONLY) as service:
+                await service.submit(*cheap_instance())
+                return service.stats.snapshot(), service.exposition()
+
+        snapshot, text = asyncio.run(scenario())
+        # What perfbench and /v1/healthz?full=1 read.
+        assert set(snapshot) == {
+            *_COUNTERS,
+            "queue_depth",
+            "max_queue_depth",
+            "solve_cache_hits",
+            "solve_cache_misses",
+            "latency",
+            "routes",
+        }
+        assert set(snapshot["latency"]) == {
+            "count",
+            "mean_ms",
+            "p50_ms",
+            "p95_ms",
+            "p99_ms",
+        }
+        requests = {}
+        prefix = 'repro_service_requests_total{outcome="'
+        for line in text.splitlines():
+            if line.startswith(prefix):
+                label, value = line[len(prefix) :].split('"} ')
+                requests[label] = float(value)
+        assert requests == {
+            "submitted": snapshot["submitted"],
+            "completed": snapshot["completed"],
+            "failed": snapshot["failed"],
+            "rejected": snapshot["rejected"],
+            "timeouts": snapshot["timeouts"],
+            "cancelled": snapshot["cancelled_solves"],
+            "retries": snapshot["retries"],
+            "rescued": snapshot["requests_rescued"],
+            "coalesced": snapshot["coalesce_hits"],
+        }
