@@ -6,6 +6,9 @@ for one of the paper's tractable cases (plus the two total fallbacks).
 preference order — the order is semantic: Schaefer targets are checked
 trivial-first (a 0-valid target needs no search at all), structure-based
 routes come before search, and backtracking is the total fallback.
+The Schaefer islands claim only targets whose universe is exactly
+{0, 1}: their algorithms answer over both values, so a target over {0}
+or {1} alone goes to the general routes, which map into its universe.
 
 Adding an island is a drop-in: write a module with an ``applies``/``run``
 class and splice an instance in via :meth:`SolverPipeline.register`.

@@ -24,7 +24,7 @@ class AffineStrategy:
     def applies(
         self, source: Structure, target: Structure, context: SolveContext
     ) -> bool:
-        return target.is_boolean and bool(
+        return target.universe == {0, 1} and bool(
             context.classification(target) & SchaeferClass.AFFINE
         )
 

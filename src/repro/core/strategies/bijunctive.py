@@ -23,7 +23,7 @@ class BijunctiveStrategy:
     def applies(
         self, source: Structure, target: Structure, context: SolveContext
     ) -> bool:
-        return target.is_boolean and bool(
+        return target.universe == {0, 1} and bool(
             context.classification(target) & SchaeferClass.BIJUNCTIVE
         )
 

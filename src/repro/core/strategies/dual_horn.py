@@ -22,7 +22,7 @@ class DualHornStrategy:
     def applies(
         self, source: Structure, target: Structure, context: SolveContext
     ) -> bool:
-        return target.is_boolean and bool(
+        return target.universe == {0, 1} and bool(
             context.classification(target) & SchaeferClass.DUAL_HORN
         )
 

@@ -23,7 +23,7 @@ class ZeroValidStrategy:
     def applies(
         self, source: Structure, target: Structure, context: SolveContext
     ) -> bool:
-        return target.is_boolean and bool(
+        return target.universe == {0, 1} and bool(
             context.classification(target) & SchaeferClass.ZERO_VALID
         )
 
@@ -41,7 +41,7 @@ class OneValidStrategy:
     def applies(
         self, source: Structure, target: Structure, context: SolveContext
     ) -> bool:
-        return target.is_boolean and bool(
+        return target.universe == {0, 1} and bool(
             context.classification(target) & SchaeferClass.ONE_VALID
         )
 
