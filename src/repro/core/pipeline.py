@@ -384,8 +384,8 @@ class SolveContext:
     pebble_k: int | None = None
     #: Whether the width-aware planner strategy may claim this solve.
     plan_enabled: bool = False
-    #: When set to ``k``, ask the planner to try the canonical k-Datalog
-    #: decision (Theorem 4.2) first — only honoured with planning on.
+    #: When set to ``k``, the planner plays its pebble route at this k
+    #: (the Theorem 4.2 decision) — only honoured with planning on.
     datalog_k: int | None = None
     scratch: dict[str, object] = field(default_factory=dict)
     #: This solve's own cache traffic (the shared cache's global counters
@@ -562,11 +562,11 @@ class SolverPipeline:
             pebble from predicted costs, and the decision lands in
             ``Solution.stats.plan``.
         try_canonical_datalog:
-            If set to ``k`` (with ``plan=True``), ask the planner to try
-            the canonical k-Datalog decision of Theorem 4.2 first: "does
-            ρ_B derive its goal on A?", answered by the compiled pebble
-            game.  A derivation refutes the instance outright; otherwise
-            the planner falls back to search, so the answer stays exact.
+            If set to ``k`` (with ``plan=True``), ask Theorem 4.2's
+            question first: "does ρ_B derive its goal on A?", which the
+            planner answers by playing its pebble route at this k.  A
+            Spoiler win refutes the instance outright; otherwise the
+            route falls back to search, so the answer stays exact.
         deadline:
             A cooperative time budget.  The kernel engines check it every
             :data:`~repro.core.cancellation.CHECK_INTERVAL` units of work

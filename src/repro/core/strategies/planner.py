@@ -11,14 +11,11 @@ cheapest for *this* instance:
   (:mod:`repro.kernel.pebblek`): a Spoiler win refutes the instance
   outright (sound by Theorem 4.8's easy direction); otherwise the route
   falls back to the kernel search from the same compilation, so the
-  answer is always decided.
-* **datalog** — the canonical-Datalog decision, opt-in via
-  ``solve(..., plan=True, try_canonical_datalog=k)``: "does ρ_B derive
-  its goal on A?" answered through
-  :func:`repro.datalog.canonical_program.canonical_refutes` — which, by
-  Theorem 4.2, plays the compiled k-pebble game instead of evaluating
-  the |B|^k-rule program.  A derivation refutes the instance outright;
-  otherwise the route falls back to the kernel search.
+  answer is always decided.  It is also the one Theorem 4.2 route: an
+  explicit ``solve(..., plan=True, try_canonical_datalog=k)`` asks
+  "does ρ_B derive its goal on A?", which *is* "does the Spoiler win
+  the k-pebble game?", so the planner plays this route at that k
+  instead of evaluating the |B|^k-rule program.
 * **search** — the kernel's GAC + MRV backtracking
   (:mod:`repro.kernel.search`); the total fallback.
 
@@ -37,7 +34,6 @@ instantly, leaving the seed routing untouched.
 from __future__ import annotations
 
 from repro.core.pipeline import Solution, SolveContext
-from repro.datalog.canonical_program import canonical_refutes
 from repro.exceptions import ResourceBudgetError
 from repro.kernel.decomp import solve_decomposition
 from repro.kernel.estimate import Plan, plan_instance
@@ -124,24 +120,6 @@ class WidthPlannerStrategy:
                     f"{self.name}(route=dp,width={plan.width},"
                     "fallback=search-budget)",
                 )
-        if plan.route == "datalog":
-            k = plan.datalog_k
-            assert k is not None  # the route is only chosen when requested
-            if canonical_refutes(source, compiled, k):
-                # ρ_B derives its goal on A: by Theorem 4.2 the Spoiler
-                # wins the k-pebble game, so no homomorphism exists.
-                return Solution(
-                    None, f"{self.name}(route=datalog,k={k})"
-                )
-            # The canonical program stays silent: only a complete engine
-            # can confirm a homomorphism, so finish with search.
-            plan_dict = dict(context.scratch.get("plan") or {})
-            plan_dict["datalog_fallback"] = "search"
-            context.scratch["plan"] = plan_dict
-            return Solution(
-                kernel_solve(source, compiled),
-                f"{self.name}(route=datalog,k={k},fallback=search)",
-            )
         if plan.route == "pebble":
             k = plan.pebble_k
             assert k is not None  # plan_instance always sets it for pebble

@@ -20,6 +20,12 @@ Construction (verbatim from the paper, 0-based positions):
 Tuple names are mangled into predicate names ``T[b1,b2,…]``.  The program
 has |B|^k IDBs and O(|B|^k · (k² + Σ_R k^{arity})) rules — polynomial for
 fixed B and k, which is the point of nonuniform expressibility.
+
+Nothing on the serving path builds ρ_B.  :func:`canonical_refutes` —
+and through it the planner's pebble route behind ``/v1/datalog`` —
+decides Theorem 4.2's question by playing the compiled k-pebble game.
+The program itself is built on demand for evaluation and the parity
+suites, memoized per process and never persisted.
 """
 
 from __future__ import annotations
@@ -64,33 +70,6 @@ def canonical_program(target: Structure, k: int) -> DatalogProgram:
     if not target.universe:
         raise ValueError("canonical program needs a non-empty target")
     return _cached_canonical_program(target, k)
-
-
-@lru_cache(maxsize=128)
-def _cached_canonical_program(target: Structure, k: int) -> DatalogProgram:
-    # Read through the process's persistent store first: ρ_B is a pure
-    # function of (B, k), so a record written by any earlier process
-    # generation is the program — |B|^k rule construction skipped.  The
-    # lru_cache above makes the store consultation a once-per-process
-    # event per (B, k); a store-less process pays nothing but the
-    # ``None`` check.  Imported lazily: persist's codec knows every
-    # artifact type, so importing it at module scope would be a cycle.
-    from repro.persist import codec as _codec
-    from repro.persist import runtime as _runtime
-
-    store = _runtime.default_store()
-    key = None
-    if store is not None:
-        from repro.structures.fingerprint import canonical_fingerprint
-
-        key = _codec.datalog_key(canonical_fingerprint(target), k)
-        stored = store.get("datalog", key)
-        if stored is not None:
-            return stored  # type: ignore[return-value]
-    program = _build_canonical_program(target, k)
-    if store is not None and key is not None:
-        store.put("datalog", key, program)
-    return program
 
 
 def _build_canonical_program(target: Structure, k: int) -> DatalogProgram:
@@ -143,6 +122,9 @@ def _build_canonical_program(target: Structure, k: int) -> DatalogProgram:
     )
     rules.append(Rule(Atom(GOAL_NAME, ()), goal_body))
     return DatalogProgram(rules, GOAL_NAME)
+
+
+_cached_canonical_program = lru_cache(maxsize=128)(_build_canonical_program)
 
 
 def canonical_refutes(

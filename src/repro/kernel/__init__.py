@@ -36,8 +36,8 @@ problem:
   :mod:`repro.datalog.evaluation`'s kernel path;
 * :mod:`repro.kernel.estimate` — the width-aware planner: cheap cost
   models over compiled sizes, width and Gaifman-degree estimates, and
-  the search/DP/pebble/datalog route choice the pipeline's planner
-  strategy and the solve service's thread/process routing consume.
+  the search/DP/pebble route choice the pipeline's planner strategy
+  consumes.
 
 The kernel is the only engine on every path.  The pure-dict reference
 implementations it is held to live in the top-level ``reference``

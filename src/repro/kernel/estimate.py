@@ -26,7 +26,9 @@ The models are deliberately crude routing signals, not predictions:
 * **pebble** — the number of ≤ k-subassignment states
   ``Σ_s C(n, s)·m^s``, scaled down by :data:`PEBBLE_STATE_FACTOR`
   because the compiled game's per-state step is a couple of big-int
-  operations, not a tuple scan.
+  operations, not a tuple scan.  The same model prices an explicit k
+  (Theorem 4.2's "does ρ_B derive its goal on A?", which *is* the
+  k-pebble game).
 
 Each model is monotone in everything that makes its engine slow, which
 is all a three-way split needs.
@@ -78,13 +80,11 @@ PEBBLE_COST_CAP = 40_000.0
 class Plan:
     """One instance's routing decision plus the signals behind it.
 
-    ``route`` is ``"search"``, ``"dp"``, ``"pebble"``, or ``"datalog"``;
+    ``route`` is ``"search"``, ``"dp"`` or ``"pebble"``;
     ``predicted_cost`` is the chosen route's cost in the shared unitless
-    scale (what the service compares against its process threshold).
-    ``dp_cost`` / ``pebble_cost`` / ``datalog_cost`` are ``None`` when
-    the route was not available for this instance (width above threshold
-    or never estimated; target/source outside the pebble bounds; no
-    canonical-Datalog ``k`` requested).
+    scale.  ``dp_cost`` / ``pebble_cost`` are ``None`` when the route was
+    not available for this instance (width above threshold or never
+    estimated; target/source outside the pebble bounds).
     """
 
     route: str
@@ -97,8 +97,6 @@ class Plan:
     pebble_k: int | None
     max_degree: int
     avg_degree: float
-    datalog_cost: float | None = None
-    datalog_k: int | None = None
 
     def as_dict(self) -> dict:
         """A JSON-friendly view for ``Solution.stats`` and snapshots."""
@@ -108,11 +106,9 @@ class Plan:
             "search_cost": self.search_cost,
             "dp_cost": self.dp_cost,
             "pebble_cost": self.pebble_cost,
-            "datalog_cost": self.datalog_cost,
             "width": self.width,
             "num_bags": self.num_bags,
             "pebble_k": self.pebble_k,
-            "datalog_k": self.datalog_k,
             "max_degree": self.max_degree,
             "avg_degree": self.avg_degree,
         }
@@ -189,17 +185,6 @@ def _pebble_cost(n: int, m: int, k: int) -> float:
     return states * PEBBLE_STATE_FACTOR
 
 
-def _datalog_cost(n: int, m: int, k: int) -> float:
-    """Cost of deciding the canonical k-Datalog program ρ_B on (A, B).
-
-    By Theorem 4.2 the kernel decides "ρ_B derives its goal on A" by
-    playing the compiled existential k-pebble game — never materializing
-    the |B|^k-rule program — so the cost *is* the game's state count on
-    the same unitless scale as :func:`_pebble_cost`.
-    """
-    return _pebble_cost(n, m, k)
-
-
 def plan_instance(
     source: Structure | CompiledSource,
     target: Structure | CompiledTarget,
@@ -230,25 +215,25 @@ def plan_instance(
        before the search fallback;
     3. **search** otherwise — the NP fallback.
 
-    ``datalog_k`` is the explicit opt-in of the canonical-Datalog route
-    (``solve(..., try_canonical_datalog=k)``): the caller asserts the
-    Theorem 4.2 decision — does ρ_B derive its goal on A? — is the
-    question to ask first.  When the pebble-style bounds and the
-    :data:`PEBBLE_COST_CAP` budget admit it, the ``"datalog"`` route is
-    chosen ahead of the implicit pebble heuristic (it *is* the same
-    compiled game by Theorem 4.2, so it shares the cost model), losing
-    only to a within-threshold DP.  A surviving closure still falls back
-    to search in the strategy, so the route stays sound.
+    ``datalog_k`` is an explicit k (``solve(...,
+    try_canonical_datalog=k)``, ``/v1/datalog``): the caller asks
+    Theorem 4.2's question — does ρ_B derive its goal on A? — which is
+    the k-pebble game.  When the pebble bounds and the
+    :data:`PEBBLE_COST_CAP` budget admit it, the ``"pebble"`` route is
+    played at that k ahead of the heuristic pebble choice, losing only
+    to a within-threshold DP; ``allow_pebble`` does not gate it.  A
+    surviving closure still falls back to search in the strategy, so
+    the route stays sound.
 
     ``decomposition`` short-circuits the width estimate with a known
     certificate; otherwise ``decomposition_provider`` (e.g. the
     pipeline's cached ``context.decomposition``) is consulted — but only
     when the Gaifman degree statistics say the greedy decomposition is
-    worth computing.  With ``allow_pebble=False`` (the service's default
-    posture when planner routing is off) the choice degrades to the
-    two-way search/DP split.  The chosen route is always *sound*: DP and
-    search decide outright, and the pebble route falls back to search
-    when the Spoiler does not win.
+    worth computing.  With ``allow_pebble=False`` (the containment
+    planner in :mod:`repro.cq.containment`) and no explicit k the choice
+    degrades to the two-way search/DP split.  The chosen route is always
+    *sound*: DP and search decide outright, and the pebble route falls
+    back to search when the Spoiler does not win.
     """
     csource = compile_source(source)
     if ctarget is None:
@@ -290,28 +275,21 @@ def plan_instance(
         if width <= width_threshold:
             dp_cost = _dp_cost(decomposition, m)
 
-    k = pebble_k if pebble_k is not None else DEFAULT_PLANNER_PEBBLE_K
+    fits = m <= PEBBLE_TARGET_BOUND and n <= PEBBLE_SOURCE_BOUND
+    # An explicit k is played whenever its closure fits the budget;
+    # otherwise the heuristic k is priced, where pebble is allowed.
+    explicit = False
     pebble_cost: float | None = None
-    if (
-        allow_pebble
-        and m <= PEBBLE_TARGET_BOUND
-        and n <= PEBBLE_SOURCE_BOUND
-    ):
+    if fits and datalog_k is not None:
+        k, pebble_cost = datalog_k, _pebble_cost(n, m, datalog_k)
+        explicit = pebble_cost <= PEBBLE_COST_CAP
+    if not explicit and allow_pebble and fits:
+        k = pebble_k if pebble_k is not None else DEFAULT_PLANNER_PEBBLE_K
         pebble_cost = _pebble_cost(n, m, k)
-
-    datalog_cost: float | None = None
-    if (
-        datalog_k is not None
-        and m <= PEBBLE_TARGET_BOUND
-        and n <= PEBBLE_SOURCE_BOUND
-    ):
-        datalog_cost = _datalog_cost(n, m, datalog_k)
 
     if dp_cost is not None and dp_cost <= search_cost:
         route, cost = "dp", dp_cost
-    elif datalog_cost is not None and datalog_cost <= PEBBLE_COST_CAP:
-        route, cost = "datalog", datalog_cost
-    elif (
+    elif explicit or (
         dp_cost is None
         and pebble_cost is not None
         and pebble_cost <= PEBBLE_COST_CAP
@@ -330,6 +308,4 @@ def plan_instance(
         pebble_k=k if route == "pebble" else (pebble_k or None),
         max_degree=max_degree,
         avg_degree=avg_degree,
-        datalog_cost=datalog_cost,
-        datalog_k=datalog_k,
     )

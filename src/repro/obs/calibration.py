@@ -5,8 +5,7 @@ observations: the route the planner chose, the cost it predicted
 (:class:`repro.kernel.estimate.Plan`), and what the kernel *actually
 did* — the work counter native to that route (search nodes for
 backtracking, bag cells for the treewidth DP, pebble steps for the
-pebble and canonical-Datalog routes, which play the same game) plus wall
-latency.  The solve path writes no log: ``benchmarks/bench_p07_obs.py``
+pebble route) plus wall latency.  The solve path writes no log: ``benchmarks/bench_p07_obs.py``
 and ``benchmarks/run_all.py`` (P7) each build their own from
 ``solution.stats`` and turn it into per-route calibration tables
 (median predicted vs. median observed, ratio spread), the evidence base
@@ -26,14 +25,11 @@ from typing import Any
 
 __all__ = ["CalibrationLog", "observed_work"]
 
-#: Which kernel counter measures the "work" a route predicted.  The
-#: ``datalog`` route decides ρ_B's goal by playing the k-pebble game
-#: (Theorem 4.2), so its work is counted in pebble steps too.
+#: Which kernel counter measures the "work" a route predicted.
 ROUTE_WORK_COUNTER: dict[str, str] = {
     "search": "search.nodes",
     "dp": "dp.bag_cells",
     "pebble": "pebble.steps",
-    "datalog": "pebble.steps",
 }
 
 

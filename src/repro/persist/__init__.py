@@ -2,8 +2,7 @@
 
 Everything expensive the solve path produces is a pure function of a
 canonical fingerprint — compiled bitset targets, Schaefer
-classifications, tree decompositions, compiled queries, canonical
-Datalog programs.  This package persists those artifacts across process
+classifications, tree decompositions, compiled queries.  This package persists those artifacts across process
 lifetimes so a restart (or a supervised worker respawn) warms from disk
 instead of recompiling:
 
@@ -15,9 +14,7 @@ instead of recompiling:
   ``__getstate__``/``__setstate__``);
 * :mod:`repro.persist.store` — :class:`ArtifactStore`: single-writer
   locking, atomic publish, quarantine-and-truncate recovery, bounded
-  compaction, obs-plane telemetry;
-* :mod:`repro.persist.runtime` — the process-wide default store handle
-  ambient read-through sites consult.
+  compaction, obs-plane telemetry.
 
 The service integration lives in :mod:`repro.service`:
 ``ServiceConfig(store_path=...)`` / ``REPRO_STORE`` opens the store at
@@ -26,20 +23,15 @@ startup and warms the caches, and ``SolveService.drain()`` flushes and closes it
 
 from repro.persist.codec import (
     ARTIFACT_KINDS,
-    datalog_key,
     decode_artifact,
     encode_artifact,
 )
-from repro.persist.runtime import default_store, set_default_store
 from repro.persist.store import ArtifactStore, StoreStats
 
 __all__ = [
     "ARTIFACT_KINDS",
     "ArtifactStore",
     "StoreStats",
-    "datalog_key",
     "decode_artifact",
-    "default_store",
     "encode_artifact",
-    "set_default_store",
 ]

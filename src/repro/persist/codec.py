@@ -22,8 +22,11 @@ ctarget    CompiledTarget                 canonical_fingerprint(B)
 classification SchaeferClass              canonical_fingerprint(B)
 decomposition  TreeDecomposition          canonical_fingerprint(A)
 query      CompiledQuery                  query_fingerprint(Q)
-datalog    DatalogProgram                 fingerprint(B) + ":k=" + k
 ========== ============================== ===============================
+
+A store written before the ``datalog`` kind (pickled canonical programs
+ρ_B) was dropped may still hold such records: the kind is unknown, so
+reading one is a counted corrupt record that is never unpickled.
 
 Every key is a pure function of mathematical content (repr-based SHA-256
 digests, never ``hash()``), so keys are stable across interpreter
@@ -38,7 +41,6 @@ import pickle
 
 from repro.boolean.schaefer import SchaeferClass
 from repro.cq.compiled import CompiledQuery
-from repro.datalog.program import DatalogProgram
 from repro.exceptions import StoreCorruptionError
 from repro.kernel.compile import CompiledTarget
 from repro.treewidth.decomposition import TreeDecomposition
@@ -46,7 +48,6 @@ from repro.treewidth.decomposition import TreeDecomposition
 __all__ = [
     "ARTIFACT_KINDS",
     "PICKLE_PROTOCOL",
-    "datalog_key",
     "decode_artifact",
     "encode_artifact",
 ]
@@ -63,18 +64,11 @@ ARTIFACT_KINDS: dict[str, type] = {
     "classification": SchaeferClass,
     "decomposition": TreeDecomposition,
     "query": CompiledQuery,
-    "datalog": DatalogProgram,
 }
 
 #: The kinds the structure cache warms eagerly at service startup
-#: (query artifacts warm the service-level memo instead, and Datalog
-#: programs warm their ``lru_cache`` lazily through the runtime store).
+#: (query artifacts warm the service-level memo instead).
 STRUCTURE_KINDS = ("ctarget", "classification", "decomposition")
-
-
-def datalog_key(target_fingerprint: str, k: int) -> str:
-    """The store key of the canonical k-Datalog program ρ_B."""
-    return f"{target_fingerprint}:k={k}"
 
 
 def encode_artifact(kind: str, artifact: object) -> bytes:

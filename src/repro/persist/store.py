@@ -2,12 +2,12 @@
 
 :class:`ArtifactStore` persists the expensive pure-function artifacts of
 the solve path — kernel compilations, Schaefer classifications, tree
-decompositions, compiled queries, canonical Datalog programs — keyed by
-the same canonical fingerprints the in-memory caches use.  Because every
-artifact is a deterministic function of its fingerprint (Kolaitis–
-Vardi's canonical structures and cores are mathematical objects, not
-session state), a record written by one process generation is valid for
-every later one: a restart warms instead of recompiling.
+decompositions, compiled queries — keyed by the same canonical
+fingerprints the in-memory caches use.  Because every artifact is a
+deterministic function of its fingerprint (Kolaitis–Vardi's canonical
+structures and cores are mathematical objects, not session state), a
+record written by one process generation is valid for every later one:
+a restart warms instead of recompiling.
 
 Durability discipline, in order of paranoia:
 

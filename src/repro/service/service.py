@@ -77,12 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover — annotation-only import
     from repro.persist import ArtifactStore
 
 from repro.core.cancellation import CancellationToken, Deadline, cancel_scope
-from repro.core.pipeline import (
-    DEFAULT_WIDTH_THRESHOLD,
-    Solution,
-    SolverPipeline,
-    StructureCache,
-)
+from repro.core.pipeline import Solution, SolverPipeline, StructureCache
 from repro.core.strategies import CONTAINMENT_ROUTE, DATALOG_ROUTE
 from repro.exceptions import (
     ServiceClosedError,
@@ -204,8 +199,6 @@ class ServiceConfig:
     max_pending: int = 1024
     default_timeout: float | None = None
     cache_maxsize: int = StructureCache.DEFAULT_MAXSIZE
-    width_threshold: int = DEFAULT_WIDTH_THRESHOLD
-    try_pebble_refutation: int | None = None
     plan: bool = False
     retry_budget: int = 2
     trace: bool = field(default_factory=_env_trace_default)
@@ -285,8 +278,6 @@ class SolveService:
         #: the config names a path; ``None`` while stopped, after a
         #: failed open, or with persistence off).
         self.store: "ArtifactStore | None" = None
-        self._store_prev_default: "ArtifactStore | None" = None
-        self._store_is_default = False
         #: Compiled-query artifacts recovered from the store (or written
         #: through this process), keyed by query fingerprint — the
         #: containment front door's warm path.
@@ -438,7 +429,6 @@ class SolveService:
             return
         from repro.exceptions import ArtifactStoreError
         from repro.persist import ArtifactStore
-        from repro.persist import runtime as persist_runtime
 
         try:
             store = ArtifactStore(
@@ -459,11 +449,6 @@ class SolveService:
             return
         self.store = store
         self.cache.attach_store(store)
-        # The canonical-Datalog plane reads/writes ρ_B records through
-        # the process-wide default handle; remember what we displaced so
-        # nested services (tests) restore cleanly.
-        self._store_prev_default = persist_runtime.set_default_store(store)
-        self._store_is_default = True
         if config.store_warm:
             warmed = store.warm_cache(self.cache)
             self._query_artifacts = dict(store.query_artifacts())
@@ -474,11 +459,9 @@ class SolveService:
             )
 
     def _close_store(self) -> None:
-        """Flush + close the store and restore the default-store handle."""
+        """Flush + close the store and detach it from the cache."""
         if self.store is None:
             return
-        from repro.persist import runtime as persist_runtime
-
         try:
             self.store.close()
         except OSError as exc:  # pragma: no cover — close is best-effort
@@ -487,10 +470,6 @@ class SolveService:
                 exc,
                 extra={"event": "store.close_failed"},
             )
-        if self._store_is_default:
-            persist_runtime.set_default_store(self._store_prev_default)
-            self._store_prev_default = None
-            self._store_is_default = False
         self.cache.attach_store(None)
         self.store = None
         self._query_artifacts = {}
@@ -509,8 +488,6 @@ class SolveService:
         target: Structure,
         *,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
-        width_threshold: int | None = None,
-        try_pebble_refutation: int | None = _UNSET,  # type: ignore[assignment]
     ) -> Awaitable[Solution]:
         """Admit one request; returns an awaitable of its ``Solution``.
 
@@ -520,13 +497,7 @@ class SolveService:
         Awaiting the result raises :class:`SolveTimeoutError` if the
         per-request timeout elapses first.
         """
-        return self._submit(
-            source,
-            target,
-            timeout=timeout,
-            width_threshold=width_threshold,
-            try_pebble_refutation=try_pebble_refutation,
-        )
+        return self._submit(source, target, timeout=timeout)
 
     def submit_containment(
         self,
@@ -572,8 +543,6 @@ class SolveService:
             source,
             target,
             timeout=timeout,
-            width_threshold=None,
-            try_pebble_refutation=_UNSET,
             route=CONTAINMENT_ROUTE,
         )
 
@@ -605,13 +574,14 @@ class SolveService:
         k: int = 2,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
     ) -> Awaitable[Solution]:
-        """Admit a canonical-Datalog request (the Theorem 4.2 route).
+        """Admit a canonical-Datalog request (the Theorem 4.2 question).
 
         The Datalog plane's service entry point: "does the canonical
         k-Datalog program ρ_B derive its goal on A?" — which by Theorem
-        4.2 the planner answers through the compiled k-pebble game, never
-        materializing ρ_B.  The request is admitted like any solve (with
-        ``plan`` forced on so the planner strategy can claim it), so it
+        4.2 is "does the Spoiler win the k-pebble game?", so the planner
+        plays its pebble route at this ``k``, never materializing ρ_B.
+        The request is admitted like any solve (with ``plan`` forced on
+        so the planner strategy can claim it), so it
         gets coalescing, timeouts, and backpressure — plus
         its own ``"datalog"`` latency bucket and the
         ``datalog_requests`` counter in :class:`ServiceStats`.
@@ -626,8 +596,6 @@ class SolveService:
             source,
             target,
             timeout=timeout,
-            width_threshold=None,
-            try_pebble_refutation=_UNSET,
             route=DATALOG_ROUTE,
             datalog_k=k,
         )
@@ -637,8 +605,6 @@ class SolveService:
         pairs: Iterable[tuple[Structure, Structure]],
         *,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
-        width_threshold: int | None = None,
-        try_pebble_refutation: int | None = _UNSET,  # type: ignore[assignment]
         return_exceptions: bool = False,
     ) -> list[Solution]:
         """Submit a batch and await all results (input order preserved).
@@ -657,8 +623,6 @@ class SolveService:
                         source,
                         target,
                         timeout=timeout,
-                        width_threshold=width_threshold,
-                        try_pebble_refutation=try_pebble_refutation,
                         backpressure=True,
                     )
                 ) is None:
@@ -683,8 +647,6 @@ class SolveService:
         target: Structure,
         *,
         timeout,
-        width_threshold: int | None,
-        try_pebble_refutation,
         route: str | None = None,
         datalog_k: int | None = None,
         backpressure: bool = False,
@@ -707,18 +669,8 @@ class SolveService:
         if timeout is _UNSET:
             timeout = config.default_timeout
         options = {
-            "width_threshold": (
-                config.width_threshold
-                if width_threshold is None
-                else width_threshold
-            ),
-            "try_pebble_refutation": (
-                config.try_pebble_refutation
-                if try_pebble_refutation is _UNSET
-                else try_pebble_refutation
-            ),
-            # A canonical-Datalog request forces planning on: the route
-            # only exists inside the planner strategy.
+            # A Theorem 4.2 request forces planning on: its explicit k is
+            # played by the planner strategy's pebble route.
             "plan": config.plan or datalog_k is not None,
             "try_canonical_datalog": datalog_k,
         }
@@ -731,15 +683,9 @@ class SolveService:
         # route is part of the key so a containment request never
         # coalesces onto a plain solve of the same instance (or vice
         # versa) — the shared computation would land its latency in the
-        # wrong stats bucket.
-        key = (
-            instance_fingerprint(source, target),
-            options["width_threshold"],
-            options["try_pebble_refutation"],
-            options["plan"],
-            options["try_canonical_datalog"],
-            route,
-        )
+        # wrong stats bucket.  The solve options follow from the
+        # Theorem 4.2 k, so the k stands for them.
+        key = (instance_fingerprint(source, target), datalog_k, route)
         existing = self._inflight.get(key)
         if existing is not None:
             self.stats.note_submitted(route, "coalesced")

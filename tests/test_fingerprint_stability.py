@@ -23,7 +23,6 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _FINGERPRINT_SCRIPT = """
 from repro.cq.compiled import query_fingerprint
 from repro.cq.query import ConjunctiveQuery
-from repro.persist import datalog_key
 from repro.structures.fingerprint import (
     canonical_fingerprint,
     instance_fingerprint,
@@ -53,7 +52,6 @@ print(canonical_fingerprint(a))
 print(canonical_fingerprint(b))
 print(instance_fingerprint(a, b))
 print(query_fingerprint(query))
-print(datalog_key(canonical_fingerprint(b), 3))
 """
 
 
@@ -78,7 +76,7 @@ def _fingerprints_under_seed(seed: str) -> str:
 def test_fingerprints_identical_across_hash_seeds(seed):
     """Every store key family is byte-identical under any hash seed."""
     baseline = _fingerprints_under_seed("0")
-    assert baseline.count("\n") == 5
+    assert baseline.count("\n") == 4
     assert _fingerprints_under_seed(seed) == baseline
 
 
@@ -87,7 +85,6 @@ def test_fingerprints_match_this_process(tmp_path):
     store written here is readable by any later interpreter."""
     from repro.cq.compiled import query_fingerprint
     from repro.cq.query import ConjunctiveQuery
-    from repro.persist import datalog_key
     from repro.structures.fingerprint import (
         canonical_fingerprint,
         instance_fingerprint,
@@ -119,7 +116,6 @@ def test_fingerprints_match_this_process(tmp_path):
             canonical_fingerprint(b),
             instance_fingerprint(a, b),
             query_fingerprint(query),
-            datalog_key(canonical_fingerprint(b), 3),
         ]
     )
     assert _fingerprints_under_seed("1").strip() == expected

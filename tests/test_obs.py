@@ -360,7 +360,7 @@ class TestCalibration:
         assert row["predicted_cost"] > 0
 
     def test_planned_datalog_solve_observes_pebble_steps(self):
-        # The datalog route plays the k-pebble game (Theorem 4.2), so
+        # An explicit Theorem 4.2 k is played on the pebble route, so
         # its observed work is the game's step count.
         solution = SolverPipeline().solve(
             clique(4),
@@ -369,7 +369,8 @@ class TestCalibration:
             try_canonical_datalog=3,
             width_threshold=1,
         )
-        assert solution.stats.plan["route"] == "datalog"
+        assert solution.stats.plan["route"] == "pebble"
+        assert solution.stats.plan["pebble_k"] == 3
         log = CalibrationLog()
         log.observe_solve(solution.stats)
         observed = log.rows()[-1]["observed"]

@@ -8,6 +8,7 @@ a wrong answer.
 
 from __future__ import annotations
 
+import asyncio
 import logging
 import os
 import pickle
@@ -21,14 +22,9 @@ from repro.cq.query import ConjunctiveQuery
 from repro.datalog.canonical_program import canonical_program
 from repro.exceptions import ArtifactStoreError, StoreCorruptionError
 from repro.kernel.compile import compile_source, compile_target
-from repro.persist import (
-    ArtifactStore,
-    datalog_key,
-    decode_artifact,
-    encode_artifact,
-    set_default_store,
-)
+from repro.persist import ArtifactStore, decode_artifact, encode_artifact
 from repro.persist import format as sformat
+from repro.persist.codec import STRUCTURE_KINDS
 from repro.structures.fingerprint import canonical_fingerprint
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
@@ -179,7 +175,6 @@ class TestStore:
         query = ConjunctiveQuery(("X",), [("E", ("X", "Y"))])
         cq = compile_query(query)
         _ = cq.canonical
-        program = canonical_program(target, 2)
         fp = canonical_fingerprint(target)
 
         with ArtifactStore(tmp_path / "store") as store:
@@ -195,7 +190,6 @@ class TestStore:
                 cached_decomposition(source),
             )
             assert store.put("query", cq.fingerprint, cq)
-            assert store.put("datalog", datalog_key(fp, 2), program)
 
         ro = ArtifactStore(tmp_path / "store", mode="ro")
         assert ro.get("ctarget", fp).supports == compiled.supports
@@ -205,10 +199,7 @@ class TestStore:
         decomp = ro.get("decomposition", canonical_fingerprint(source))
         assert decomp.bags == cached_decomposition(source).bags
         assert ro.get("query", cq.fingerprint).canonical == cq.canonical
-        restored = ro.get("datalog", datalog_key(fp, 2))
-        assert restored.rules == program.rules
-        assert restored.goal == program.goal
-        assert ro.stats.hits == 5 and ro.stats.corrupt_records == 0
+        assert ro.stats.hits == 4 and ro.stats.corrupt_records == 0
         ro.close()
 
     def test_miss_returns_none(self, tmp_path):
@@ -411,29 +402,111 @@ class TestCacheIntegration:
         cache.seed("no-such-kind", "fp", object())
         assert len(cache) == 0
 
-    def test_datalog_read_through_default_store(self, tmp_path):
-        from repro.datalog.canonical_program import (
-            _cached_canonical_program,
-        )
 
-        store = ArtifactStore(tmp_path / "store")
-        previous = set_default_store(store)
-        _cached_canonical_program.cache_clear()
-        try:
-            _, target = fresh_pair()
-            program = canonical_program(target, 2)
-            assert ("datalog", datalog_key(canonical_fingerprint(target), 2)) in store
-            # A fresh process generation (cleared lru_cache) reads the
-            # program back instead of rebuilding |B|^k rules.
-            _cached_canonical_program.cache_clear()
-            _, target2 = fresh_pair()
-            again = canonical_program(target2, 2)
-            assert again.rules == program.rules
-            assert store.stats.hits >= 1
-        finally:
-            set_default_store(previous)
-            _cached_canonical_program.cache_clear()
-            store.close()
+# ---------------------------------------------------------------------------
+# Stores written while ``datalog`` was an artifact kind
+# ---------------------------------------------------------------------------
+
+
+class TestStaleDatalogRecord:
+    """Earlier versions persisted ρ_B as a ``datalog`` record; such a
+    store must still open, warm and serve, and the stale record must
+    degrade to a counted miss without ever reaching the unpickler."""
+
+    QUERIES = ("Q(X) :- E(X, Y), E(Y, Z)", "Q(X) :- E(X, Y)")
+
+    def _stale_store(self, path):
+        """A served store partition plus one appended ``datalog`` record."""
+        from repro.cq.parser import parse_query
+        from repro.service import ServiceConfig, SolveService
+
+        source, target = fresh_pair()
+
+        async def serve():
+            config = ServiceConfig(thread_workers=1, store_path=str(path))
+            async with SolveService(config) as service:
+                await service.submit(source, target)
+                await service.submit_containment(
+                    *map(parse_query, self.QUERIES)
+                )
+
+        asyncio.run(serve())
+        key = f"{canonical_fingerprint(target)}:k=2"
+        payload = pickle.dumps(canonical_program(target, 2), protocol=5)
+        with open(path / ArtifactStore.LOG_NAME, "ab") as log:
+            log.write(sformat.encode_record("datalog", key, payload))
+        return key
+
+    def test_opens_and_warms_every_other_kind(self, tmp_path):
+        self._stale_store(tmp_path / "store")
+        with ArtifactStore(tmp_path / "store") as store:
+            assert store.stats.corrupt_records == 0
+            structure_keys = [
+                pair for pair in store.keys() if pair[0] in STRUCTURE_KINDS
+            ]
+            assert {kind for kind, _ in structure_keys} >= {
+                "ctarget",
+                "decomposition",
+            }
+            cache = StructureCache()
+            assert store.warm_cache(cache) == len(structure_keys)
+            assert len(list(store.query_artifacts())) == 2
+
+    def test_stale_record_is_a_counted_miss_never_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        key = self._stale_store(tmp_path / "store")
+        with ArtifactStore(tmp_path / "store") as store:
+            assert ("datalog", key) in store
+
+            def refuse(_payload):
+                raise AssertionError("a datalog record reached pickle.loads")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pickle, "loads", refuse)
+                assert store.get("datalog", key) is None
+            assert store.stats.corrupt_records == 1
+            assert ("datalog", key) not in store
+
+    def test_compaction_carries_the_stale_record(self, tmp_path):
+        key = self._stale_store(tmp_path / "store")
+        size = os.path.getsize(tmp_path / "store" / ArtifactStore.LOG_NAME)
+        with ArtifactStore(tmp_path / "store", max_bytes=size) as store:
+            fresh = Structure(BINARY, range(4), {"E": [(0, 1), (2, 3)]})
+            store.put(
+                "ctarget", canonical_fingerprint(fresh), compile_target(fresh)
+            )
+            assert store.stats.compactions == 1
+        with ArtifactStore(tmp_path / "store") as reopened:
+            assert reopened.stats.corrupt_records == 0
+            assert reopened.get("datalog", key) is None
+
+    def test_service_answers_over_the_stale_store(self, tmp_path):
+        from repro.cq import contains
+        from repro.cq.parser import parse_query
+        from repro.service import ServiceConfig, SolveService
+        from repro.structures.graphs import clique
+        from repro.structures.homomorphism import homomorphism_exists
+
+        self._stale_store(tmp_path / "store")
+        source, target = fresh_pair()
+        q1, q2 = map(parse_query, self.QUERIES)
+
+        async def serve():
+            config = ServiceConfig(
+                thread_workers=1, store_path=str(tmp_path / "store")
+            )
+            async with SolveService(config) as service:
+                assert service.store.stats.warmed >= 2
+                yes = await service.submit_datalog(source, target, k=2)
+                no = await service.submit_datalog(clique(3), clique(2), k=3)
+                contained = await service.submit_containment(q1, q2)
+                return yes, no, contained
+
+        yes, no, contained = asyncio.run(serve())
+        assert yes.exists == homomorphism_exists(source, target) is True
+        assert no.exists == homomorphism_exists(clique(3), clique(2)) is False
+        assert contained.exists == contains(q1, q2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ Every artifact kind is round-tripped through a real on-disk store on
 hypothesis-generated inputs, asserting two things:
 
 * **content** — the restored artifact is mathematically identical to
-  the original (same supports, same bags, same rules, same canonical
-  database);
+  the original (same supports, same bags, same canonical database);
 * **behavior** — a pipeline whose cache reads the restored artifacts
   produces the *identical* :class:`Solution` — same verdict, same
   witness validity — and, once both generations run on warmed caches,
@@ -18,14 +17,12 @@ from __future__ import annotations
 import tempfile
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import conjunctive_queries, csp_templates, structure_pairs
+from conftest import conjunctive_queries, structure_pairs
 from repro.core.pipeline import SolverPipeline, StructureCache
 from repro.cq.compiled import compile_query
-from repro.datalog.canonical_program import canonical_program
 from repro.kernel.compile import compile_target
-from repro.persist import ArtifactStore, datalog_key
+from repro.persist import ArtifactStore
 from repro.structures.fingerprint import canonical_fingerprint
 from repro.structures.homomorphism import is_homomorphism
 from repro.structures.structure import Structure
@@ -113,26 +110,6 @@ def test_query_artifacts_round_trip(query):
             assert restored.body == body
             # The restored artifact serves as its query's compile memo.
             assert compile_query(restored.query) is restored
-        finally:
-            store.close()
-
-
-@settings(deadline=None, max_examples=10)
-@given(
-    target=csp_templates(max_elements=2, max_arity=2, max_facts=3),
-    k=st.integers(min_value=1, max_value=2),
-)
-def test_datalog_programs_round_trip(target, k):
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ArtifactStore(tmp, register_metrics=False)
-        try:
-            program = canonical_program(target, k)
-            key = datalog_key(canonical_fingerprint(target), k)
-            assert store.put("datalog", key, program)
-            restored = store.get("datalog", key)
-            assert restored is not None
-            assert restored.rules == program.rules
-            assert restored.goal == program.goal
         finally:
             store.close()
 

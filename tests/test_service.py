@@ -131,11 +131,12 @@ class TestCoalescing:
             async with SolveService(THREADS_ONLY) as service:
                 source, target = cheap_instance()
                 await asyncio.gather(
-                    service.submit(source, target, width_threshold=1),
-                    service.submit(source, target, width_threshold=4),
+                    service.submit_datalog(source, target, k=2),
+                    service.submit_datalog(source, target, k=3),
+                    service.submit(source, target),
                 )
                 assert service.stats.coalesce_hits == 0
-                assert service.stats.completed == 2
+                assert service.stats.completed == 3
 
         asyncio.run(scenario())
 
