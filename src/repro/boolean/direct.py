@@ -28,7 +28,7 @@ from collections import deque
 from typing import Hashable
 
 from repro.boolean.relations import boolean_relations_of
-from repro.exceptions import NotSchaeferError, VocabularyError
+from repro.exceptions import NotBooleanError, NotSchaeferError, VocabularyError
 from repro.structures.structure import Structure
 
 __all__ = [
@@ -43,20 +43,8 @@ Element = Hashable
 def _validate(source: Structure, target: Structure) -> None:
     if source.vocabulary != target.vocabulary:
         raise VocabularyError("instance structures must share a vocabulary")
-
-
-def _normalize_boolean(target: Structure) -> Structure:
-    """View the target as a structure with universe exactly {0, 1}.
-
-    The paper defines a Boolean structure as one whose universe *is*
-    {0, 1}; normalizing lets the solvers return {0, 1}-valued maps even
-    when the given target happens to mention only one of the two values.
-    """
-    return Structure(
-        target.vocabulary,
-        {0, 1},
-        {symbol.name: rel for symbol, rel in target.relations()},
-    )
+    if target.universe != {0, 1}:  # the paper's Boolean structures
+        raise NotBooleanError("expected a target with universe exactly {0, 1}")
 
 
 def solve_horn_csp(
@@ -68,7 +56,7 @@ def solve_horn_csp(
     under componentwise AND); :class:`NotSchaeferError` otherwise.
     """
     _validate(source, target)
-    relations_b = boolean_relations_of(_normalize_boolean(target))
+    relations_b = boolean_relations_of(target)
     if not all(rel.is_horn for rel in relations_b.values()):
         raise NotSchaeferError("target structure is not Horn")
 
@@ -135,7 +123,7 @@ def solve_dual_horn_csp(
     bit-flipped structure, which is Horn exactly when ``B`` is dual Horn.
     """
     _validate(source, target)
-    relations_b = boolean_relations_of(_normalize_boolean(target))
+    relations_b = boolean_relations_of(target)
     if not all(rel.is_dual_horn for rel in relations_b.values()):
         raise NotSchaeferError("target structure is not dual Horn")
     flipped = Structure(
@@ -165,7 +153,7 @@ def solve_bijunctive_csp(
     retry the opposite guess; two failures mean no homomorphism.
     """
     _validate(source, target)
-    relations_b = boolean_relations_of(_normalize_boolean(target))
+    relations_b = boolean_relations_of(target)
     if not all(rel.is_bijunctive for rel in relations_b.values()):
         raise NotSchaeferError("target structure is not bijunctive")
 

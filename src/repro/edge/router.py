@@ -16,21 +16,23 @@ in-process in-flight coalescing becomes fleet-wide coalescing for free.
 The shards are the stack's only process boundary (each shard's service
 runs threads only), so the router is also its only supervisor and, used
 in-process without the HTTP front end, its multi-core API.  A reader
-thread per shard turns pipe EOF into a crash signal on the event loop,
-in-flight requests fail with a typed
+task per shard turns EOF (or a truncated frame) on its socket into a
+crash signal, in-flight requests fail with a typed
 :class:`~repro.exceptions.ShardCrashedError` (retried within the
 router's budget), and a single-flight respawn with exponential backoff
 brings the shard back *warm* — the replacement process re-opens the dead
 shard's store partition, whose per-record flushes survive SIGKILL, and
 seeds its caches before answering.
 
-IPC is deliberately boring: a duplex pipe per shard carrying
+IPC is deliberately boring: a ``socket.socketpair()`` per shard, one
+end inherited by the spawned process, asyncio streams at both ends (no
+thread or executor), carrying length-prefixed pickle frames of
 ``(request_id, op, payload)`` down and ``(request_id, ok, result)`` up,
 with errors crossing as ``(class_name, message)`` pairs — exception
 *instances* never cross the boundary (a crashed shard can't be trusted
-to produce serializable ones).  Spawn context, not fork: the edge
-process runs an event loop and reader threads, and forking a threaded
-process is how you inherit locks in undefined states.
+to produce serializable ones).  Spawn context, not fork: the edge may
+host threads, and forking a threaded process is how you inherit locks
+in undefined states.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ import asyncio
 import hashlib
 import logging
 import multiprocessing
-import multiprocessing.connection
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import socket
+import struct
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -106,23 +108,45 @@ class RouterConfig:
     service_options: dict[str, Any] = field(default_factory=dict)
 
 
+_HEADER = struct.Struct("!Q")  # a frame: its byte length, then a pickle
+
+
+class _Frames:
+    """One end of a shard pipe.  ``send`` holds a lock across ``write`` +
+    ``drain``: older CPython releases, early 3.10s among them, allow one
+    ``drain`` waiter at a time."""
+
+    def __init__(self, reader, writer) -> None:
+        self.reader, self.writer = reader, writer
+        self._lock = asyncio.Lock()
+
+    async def recv(self):
+        """The next frame; ``IncompleteReadError`` at EOF or mid-frame."""
+        (size,) = _HEADER.unpack(await self.reader.readexactly(_HEADER.size))
+        return pickle.loads(await self.reader.readexactly(size))
+
+    async def send(self, message: tuple) -> None:
+        body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        async with self._lock:
+            self.writer.write(_HEADER.pack(len(body)) + body)
+            await self.writer.drain()
+
+
 # ---------------------------------------------------------------------------
 # The shard process
 # ---------------------------------------------------------------------------
 
 
-def shard_main(index: int, conn, options: dict[str, Any]) -> None:
+def shard_main(index: int, sock, options: dict[str, Any]) -> None:
     """Entry point of one shard process (spawn target)."""
     logging.basicConfig(level=logging.WARNING)
     try:
-        asyncio.run(_shard_serve(index, conn, options))
-    except (KeyboardInterrupt, BrokenPipeError, EOFError):
+        asyncio.run(_shard_serve(index, sock, options))
+    except KeyboardInterrupt:
         pass
-    finally:
-        conn.close()
 
 
-async def _shard_serve(index: int, conn, options: dict[str, Any]) -> None:
+async def _shard_serve(index: int, sock, options: dict[str, Any]) -> None:
     from repro.obs.metrics import KERNEL_COUNTERS, default_registry
     from repro.service import ServiceConfig, SolveService
 
@@ -138,20 +162,12 @@ async def _shard_serve(index: int, conn, options: dict[str, Any]) -> None:
     service = SolveService(config)
     await service.start()
 
-    loop = asyncio.get_running_loop()
-    send_lock = threading.Lock()
-    send_pool = ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix=f"shard-{index}-send"
-    )
-
-    def _send(message: tuple) -> None:
-        with send_lock:
-            conn.send(message)
+    frames = _Frames(*await asyncio.open_unix_connection(sock=sock))
 
     async def reply(request_id, ok: bool, result) -> None:
         try:
-            await loop.run_in_executor(send_pool, _send, (request_id, ok, result))
-        except (BrokenPipeError, OSError):
+            await frames.send((request_id, ok, result))
+        except OSError:
             pass  # the edge died; the drain path below will notice EOF
 
     registry = default_registry()
@@ -189,10 +205,9 @@ async def _shard_serve(index: int, conn, options: dict[str, Any]) -> None:
     draining = False
     while not draining:
         try:
-            message = await loop.run_in_executor(None, conn.recv)
-        except (EOFError, OSError):
+            request_id, op, payload = await frames.recv()
+        except (asyncio.IncompleteReadError, OSError):
             break  # the edge process died; shut down quietly
-        request_id, op, payload = message
         if op == "drain":
             draining = True
             if pending:
@@ -208,7 +223,7 @@ async def _shard_serve(index: int, conn, options: dict[str, Any]) -> None:
         await asyncio.gather(*pending, return_exceptions=True)
     if not draining:
         await service.drain(0.0)
-    send_pool.shutdown(wait=True)
+    frames.writer.close()
 
 
 async def _execute(service, op: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -254,13 +269,12 @@ async def _execute(service, op: str, payload: dict[str, Any]) -> dict[str, Any]:
 class _ShardHandle:
     """One shard process as seen from the edge event loop.
 
-    Owns the process, its pipe, a reader thread (blocking ``recv`` off
-    the loop; EOF is the crash signal), and a single-thread send
-    executor (``Connection.send`` can block on a full pipe — never on
-    the event loop).  Respawn is single-flight behind ``_respawn_lock``
-    with exponential backoff, and every pipe message carries through a
-    generation check so a stale reader thread from a dead process can
-    never touch the replacement's in-flight table.
+    Owns the process, its socket as :class:`_Frames`, and one reader
+    task per spawned process (EOF or a truncated frame is the crash
+    signal).  Respawn is single-flight behind ``_respawn_lock`` with
+    exponential backoff, and every frame carries through a generation
+    check so a stale reader task from a dead process can never touch
+    the replacement's in-flight table.
     """
 
     def __init__(
@@ -275,7 +289,7 @@ class _ShardHandle:
         self.generation = 0
         self.crashes = 0
         self.process: multiprocessing.Process | None = None
-        self.conn = None
+        self.frames: _Frames | None = None
         self.pid: int | None = None
         self._inflight: dict[int, asyncio.Future] = {}
         self._next_id = 0
@@ -283,9 +297,7 @@ class _ShardHandle:
         self._respawn_lock = asyncio.Lock()
         self._respawn_streak = 0
         self._closing = False
-        self._send_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"edge-shard-{index}-send"
-        )
+        self._reader_task: asyncio.Task | None = None
         options = dict(config.service_options)
         if config.store_path is not None:
             options["store_path"] = os.path.join(
@@ -300,25 +312,23 @@ class _ShardHandle:
 
     async def _spawn(self) -> None:
         ctx = multiprocessing.get_context("spawn")
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        parent_sock, child_sock = socket.socketpair()
+        frames = _Frames(*await asyncio.open_unix_connection(sock=parent_sock))
         process = ctx.Process(
             target=shard_main,
-            args=(self.index, child_conn, self._options),
+            args=(self.index, child_sock, self._options),
             name=f"repro-edge-shard-{self.index}",
             daemon=True,
         )
         process.start()
-        child_conn.close()
+        child_sock.close()
         self.generation += 1
         self.process = process
-        self.conn = parent_conn
+        self.frames = frames
         self.pid = process.pid
-        threading.Thread(
-            target=self._read_loop,
-            args=(parent_conn, self.generation),
-            name=f"edge-shard-{self.index}-reader",
-            daemon=True,
-        ).start()
+        self._reader_task = self.loop.create_task(
+            self._read_loop(frames, self.generation)
+        )
         # The first ping doubles as the readiness barrier: the shard
         # answers only once its service has started (and warmed).
         pong = await asyncio.wait_for(
@@ -328,16 +338,13 @@ class _ShardHandle:
         self._respawn_streak = 0
         self._alive.set()
 
-    def _read_loop(self, conn, generation: int) -> None:
+    async def _read_loop(self, frames: _Frames, generation: int) -> None:
         try:
             while True:
-                message = conn.recv()
-                self.loop.call_soon_threadsafe(
-                    self._deliver, generation, message
-                )
-        except (EOFError, OSError):
+                self._deliver(generation, await frames.recv())
+        except (asyncio.IncompleteReadError, OSError):
             pass
-        self.loop.call_soon_threadsafe(self._on_disconnect, generation)
+        self._on_disconnect(generation)
 
     def _deliver(self, generation: int, message: tuple) -> None:
         if generation != self.generation:
@@ -356,6 +363,7 @@ class _ShardHandle:
         if generation != self.generation:
             return
         self._alive.clear()
+        self.frames.writer.close()  # this generation's socket is done
         inflight, self._inflight = self._inflight, {}
         for future in inflight.values():
             if not future.done():
@@ -367,6 +375,9 @@ class _ShardHandle:
                 )
         if self._closing:
             return
+        # A broken stream is a crash even if the process still runs: it
+        # holds the store partition its replacement must open.
+        self.process.kill()
         self.crashes += 1
         logger.warning(
             "shard %d (pid %s) died; respawning warm", self.index, self.pid
@@ -411,7 +422,8 @@ class _ShardHandle:
             if process.is_alive():
                 process.kill()
                 clean = False
-        self._send_pool.shutdown(wait=False)
+        if self._reader_task is not None:
+            await self._reader_task  # ends at the shard's EOF
         return clean
 
     # -- requests ------------------------------------------------------------
@@ -438,18 +450,13 @@ class _ShardHandle:
         self._next_id += 1
         future = self.loop.create_future()
         self._inflight[request_id] = future
-        conn = self.conn
         try:
-            await self.loop.run_in_executor(
-                self._send_pool, conn.send, (request_id, op, payload)
-            )
-        except (BrokenPipeError, OSError):
-            self._inflight.pop(request_id, None)
+            await self.frames.send((request_id, op, payload))
+            return await future
+        except OSError:
             raise ShardCrashedError(
                 f"shard {self.index} pipe is broken"
             ) from None
-        try:
-            return await future
         finally:
             self._inflight.pop(request_id, None)
 

@@ -12,7 +12,7 @@ from repro.boolean.direct import (
     solve_dual_horn_csp,
     solve_horn_csp,
 )
-from repro.exceptions import NotSchaeferError
+from repro.exceptions import NotBooleanError, NotSchaeferError
 from repro.structures.homomorphism import (
     homomorphism_exists,
     is_homomorphism,
@@ -151,3 +151,30 @@ class TestBijunctiveDirect:
         assert (hom is not None) == homomorphism_exists(source, target)
         if hom is not None:
             assert is_homomorphism(hom, source, target)
+
+
+class TestBooleanUniverse:
+    """A target over {0} or {1} alone is not Boolean in the paper's sense.
+
+    Widening it to {0, 1} let the solvers answer with maps outside the
+    target's universe (Horn and bijunctive mapped into 0 over {1}, dual
+    Horn into 1 over {0}); every solver must refuse it instead.
+    """
+
+    SOLVERS = (solve_horn_csp, solve_dual_horn_csp, solve_bijunctive_csp)
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_single_value_target_rejected(self, solver, value):
+        target = Structure(BINARY, {value}, {})
+        source = Structure(BINARY, {0}, {})
+        with pytest.raises(NotBooleanError):
+            solver(source, target)
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    def test_fact_free_boolean_target_maps_into_universe(self, solver):
+        target = _boolean(BINARY, {})
+        source = Structure(BINARY, {0, 1}, {})
+        hom = solver(source, target)
+        assert hom is not None and set(hom.values()) <= {0, 1}
+        assert is_homomorphism(hom, source, target)
