@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 
+from repro.edge.router import RouterConfig
 from repro.edge.server import EdgeConfig, serve_forever
 
 
@@ -36,19 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         help="shared artifact-store root; each shard warms from its own "
-        "<store>/shard-<i> partition",
-    )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="per-shard in-flight window before 429",
+        "<store>/shard-<i> partition (without it, shards run store-less "
+        "whatever REPRO_STORE says)",
     )
     parser.add_argument(
         "--max-open",
         type=int,
         default=256,
-        help="edge-global open-request ceiling before 429",
+        help="edge-global open-request ceiling before 429 (each shard "
+        "also refuses past its service's max_pending, 256)",
     )
     parser.add_argument(
         "--drain-timeout",
@@ -64,9 +61,7 @@ def main(argv: list[str] | None = None) -> None:
     config = EdgeConfig(
         host=args.host,
         port=args.port,
-        num_shards=args.shards,
-        store_path=args.store,
-        queue_limit=args.queue_limit,
+        router=RouterConfig(num_shards=args.shards, store_path=args.store),
         max_open_requests=args.max_open,
         drain_timeout=args.drain_timeout,
     )

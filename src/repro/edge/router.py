@@ -18,8 +18,8 @@ runs threads only), so the router is also its only supervisor and, used
 in-process without the HTTP front end, its multi-core API.  A reader
 task per shard turns EOF (or a truncated frame) on its socket into a
 crash signal, in-flight requests fail with a typed
-:class:`~repro.exceptions.ShardCrashedError` (retried within the
-router's budget), and a single-flight respawn with exponential backoff
+:class:`~repro.exceptions.ShardCrashedError` (retried once, see
+``CRASH_RETRIES``), and a single-flight respawn with exponential backoff
 brings the shard back *warm* — the replacement process re-opens the dead
 shard's store partition, whose per-record flushes survive SIGKILL, and
 seeds its caches before answering.
@@ -33,6 +33,13 @@ with errors crossing as ``(class_name, message)`` pairs — exception
 to produce serializable ones).  Spawn context, not fork: the edge may
 host threads, and forking a threaded process is how you inherit locks
 in undefined states.
+
+Configuration is one typed tree: :class:`RouterConfig` holds the
+shard's frozen :class:`~repro.service.ServiceConfig`, which crosses the
+spawn as one pickled object, so every service field set on the edge
+reaches the shard and a misspelt one is a ``TypeError`` at
+construction.  Each shard's ``max_pending`` is its one admission
+ceiling; the router keeps no window of its own.
 """
 
 from __future__ import annotations
@@ -45,18 +52,23 @@ import os
 import pickle
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
-from repro.exceptions import (
-    ReproError,
-    ServiceOverloadedError,
-    ShardCrashedError,
-)
+from repro.exceptions import ReproError, ShardCrashedError
+from repro.service import ServiceConfig, SolveService
 from repro.structures.fingerprint import instance_fingerprint
 from repro.edge.protocol import rebuild_error
 
 logger = logging.getLogger("repro.edge.router")
+
+#: Extra attempts a request gets after its shard crashes under it.
+CRASH_RETRIES = 1
+#: How long a (re)spawned shard may take to answer its readiness ping.
+SPAWN_TIMEOUT = 60.0
+#: Respawn backoff: doubles per consecutive failed respawn, up to the cap.
+RESPAWN_BACKOFF = 0.05
+RESPAWN_BACKOFF_CAP = 2.0
 
 __all__ = ["RouterConfig", "ShardRouter", "shard_for", "shard_main"]
 
@@ -82,30 +94,34 @@ def containment_fingerprint(q1_text: str, q2_text: str) -> str:
     return digest.hexdigest()
 
 
+def _shard_default() -> ServiceConfig:
+    """The shard default: a planning service with 2 worker threads."""
+    return ServiceConfig(
+        plan=True, thread_workers=2, max_pending=256, store_path=None
+    )
+
+
 @dataclass(frozen=True)
 class RouterConfig:
-    """Tuning knobs of a :class:`ShardRouter`.
+    """The shape of a :class:`ShardRouter` fleet.
 
-    ``queue_limit`` bounds each shard's *edge-side* in-flight window —
-    requests sent down the pipe and not yet answered; beyond it the
-    router raises :class:`ServiceOverloadedError` synchronously (the
-    server answers 429 + Retry-After).  The shard's own
-    ``SolveService`` admission control (``max_pending``) backstops it.
-    ``retry_budget`` is the number of additional attempts a request gets
-    after its shard crashes under it.  ``service_options`` passes
-    through to each shard's :class:`~repro.service.ServiceConfig`
-    (``plan=True`` unless overridden); ``store_path`` is the *shared
-    root* — each shard derives its own partition.
+    ``service`` is the :class:`~repro.service.ServiceConfig` every shard
+    runs; it crosses the spawn as one pickled object.  Its default is
+    the shard default (:func:`_shard_default`); every field it leaves
+    unset keeps its ``ServiceConfig`` default.  The shard's
+    ``max_pending`` is its one admission ceiling; a refusal crosses the
+    pipe as :class:`~repro.exceptions.ServiceOverloadedError`.
+
+    The router owns ``store_path``: it is the *shared root*, and shard
+    ``i`` runs with ``store_path=<root>/shard-<i>``, or with no store
+    when the root is ``None`` — ``service.store_path`` is overridden
+    either way, so ``REPRO_STORE`` never gives a store-less router's
+    shards a store.
     """
 
     num_shards: int = 2
     store_path: str | None = None
-    queue_limit: int = 64
-    retry_budget: int = 1
-    spawn_timeout: float = 60.0
-    respawn_backoff: float = 0.05
-    respawn_backoff_cap: float = 2.0
-    service_options: dict[str, Any] = field(default_factory=dict)
+    service: ServiceConfig = field(default_factory=_shard_default)
 
 
 _HEADER = struct.Struct("!Q")  # a frame: its byte length, then a pickle
@@ -137,28 +153,18 @@ class _Frames:
 # ---------------------------------------------------------------------------
 
 
-def shard_main(index: int, sock, options: dict[str, Any]) -> None:
+def shard_main(index: int, sock, config: ServiceConfig) -> None:
     """Entry point of one shard process (spawn target)."""
     logging.basicConfig(level=logging.WARNING)
     try:
-        asyncio.run(_shard_serve(index, sock, options))
+        asyncio.run(_shard_serve(index, sock, config))
     except KeyboardInterrupt:
         pass
 
 
-async def _shard_serve(index: int, sock, options: dict[str, Any]) -> None:
+async def _shard_serve(index: int, sock, config: ServiceConfig) -> None:
     from repro.obs.metrics import KERNEL_COUNTERS, default_registry
-    from repro.service import ServiceConfig, SolveService
 
-    config = ServiceConfig(
-        plan=bool(options.get("plan", True)),
-        thread_workers=int(options.get("thread_workers", 2)),
-        max_pending=int(options.get("max_pending", 256)),
-        store_path=options.get("store_path"),
-        store_warm=bool(options.get("store_warm", True)),
-        retry_budget=int(options.get("retry_budget", 2)),
-        drain_timeout=float(options.get("drain_timeout", 30.0)),
-    )
     service = SolveService(config)
     await service.start()
 
@@ -176,6 +182,7 @@ async def _shard_serve(index: int, sock, options: dict[str, Any]) -> None:
         return {
             "index": index,
             "pid": os.getpid(),
+            "config": asdict(service.config),
             "service": service.stats.snapshot(),
             "kernel": {
                 key: registry.counter(family, help).value()
@@ -280,11 +287,11 @@ class _ShardHandle:
     def __init__(
         self,
         index: int,
-        config: RouterConfig,
+        service: ServiceConfig,
         loop: asyncio.AbstractEventLoop,
     ) -> None:
         self.index = index
-        self.config = config
+        self.service = service
         self.loop = loop
         self.generation = 0
         self.crashes = 0
@@ -298,12 +305,6 @@ class _ShardHandle:
         self._respawn_streak = 0
         self._closing = False
         self._reader_task: asyncio.Task | None = None
-        options = dict(config.service_options)
-        if config.store_path is not None:
-            options["store_path"] = os.path.join(
-                config.store_path, f"shard-{index}"
-            )
-        self._options = options
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -316,7 +317,7 @@ class _ShardHandle:
         frames = _Frames(*await asyncio.open_unix_connection(sock=parent_sock))
         process = ctx.Process(
             target=shard_main,
-            args=(self.index, child_sock, self._options),
+            args=(self.index, child_sock, self.service),
             name=f"repro-edge-shard-{self.index}",
             daemon=True,
         )
@@ -331,9 +332,7 @@ class _ShardHandle:
         )
         # The first ping doubles as the readiness barrier: the shard
         # answers only once its service has started (and warmed).
-        pong = await asyncio.wait_for(
-            self._call_raw("ping", {}), self.config.spawn_timeout
-        )
+        pong = await asyncio.wait_for(self.call("ping", {}), SPAWN_TIMEOUT)
         self.pid = pong["pid"]
         self._respawn_streak = 0
         self._alive.set()
@@ -390,8 +389,8 @@ class _ShardHandle:
                 return  # another task already brought the shard back
             self._respawn_streak += 1
             backoff = min(
-                self.config.respawn_backoff * 2 ** (self._respawn_streak - 1),
-                self.config.respawn_backoff_cap,
+                RESPAWN_BACKOFF * 2 ** (self._respawn_streak - 1),
+                RESPAWN_BACKOFF_CAP,
             )
             await asyncio.sleep(backoff)
             if self._closing:
@@ -410,8 +409,8 @@ class _ShardHandle:
         if self._alive.is_set():
             try:
                 result = await asyncio.wait_for(
-                    self._call_raw("drain", {"timeout": timeout}),
-                    timeout + self.config.spawn_timeout,
+                    self.call("drain", {"timeout": timeout}),
+                    timeout + SPAWN_TIMEOUT,
                 )
                 clean = bool(result.get("clean", False))
             except (ShardCrashedError, asyncio.TimeoutError):
@@ -436,16 +435,8 @@ class _ShardHandle:
     def inflight(self) -> int:
         return len(self._inflight)
 
-    def admit(self) -> None:
-        """Synchronous admission: bounded edge-side in-flight window."""
-        if len(self._inflight) >= self.config.queue_limit:
-            raise ServiceOverloadedError(
-                f"shard {self.index} has {len(self._inflight)} requests "
-                f"in flight (limit {self.config.queue_limit})"
-            )
-
-    async def _call_raw(self, op: str, payload: dict[str, Any]):
-        """Send one op and await its reply (no admission, no retry)."""
+    async def call(self, op: str, payload: dict[str, Any]):
+        """Send one op and await its reply (no retry)."""
         request_id = self._next_id
         self._next_id += 1
         future = self.loop.create_future()
@@ -459,10 +450,6 @@ class _ShardHandle:
             ) from None
         finally:
             self._inflight.pop(request_id, None)
-
-    async def call(self, op: str, payload: dict[str, Any]):
-        self.admit()
-        return await self._call_raw(op, payload)
 
 
 class ShardRouter:
@@ -479,10 +466,16 @@ class ShardRouter:
             raise ValueError("num_shards must be >= 1")
         self._loop = loop or asyncio.get_event_loop()
         self._handles = [
-            _ShardHandle(index, self.config, self._loop)
+            _ShardHandle(index, self._shard_service(index), self._loop)
             for index in range(self.config.num_shards)
         ]
         self._started = False
+
+    def _shard_service(self, index: int) -> ServiceConfig:
+        """Shard ``index``'s config: its store partition, or no store."""
+        root = self.config.store_path
+        store_path = None if root is None else os.path.join(root, f"shard-{index}")
+        return replace(self.config.service, store_path=store_path)
 
     async def start(self) -> "ShardRouter":
         if not self._started:
@@ -539,7 +532,7 @@ class ShardRouter:
         self, shard_index: int, op: str, payload: dict[str, Any]
     ) -> dict[str, Any]:
         handle = self._handles[shard_index]
-        attempts = self.config.retry_budget + 1
+        attempts = CRASH_RETRIES + 1
         for attempt in range(attempts):
             if not handle.alive:
                 # A dead shard sheds load instead of queueing blind: the
@@ -563,9 +556,7 @@ class ShardRouter:
 
     async def _await_respawn(self, handle: _ShardHandle) -> None:
         try:
-            await asyncio.wait_for(
-                handle._alive.wait(), self.config.spawn_timeout
-            )
+            await asyncio.wait_for(handle._alive.wait(), SPAWN_TIMEOUT)
         except asyncio.TimeoutError:
             raise ShardCrashedError(
                 f"shard {handle.index} did not respawn in time"
@@ -593,7 +584,7 @@ class ShardRouter:
             if not handle.alive:
                 return {"index": handle.index, "alive": False}
             try:
-                stats = await handle._call_raw("stats", {})
+                stats = await handle.call("stats", {})
             except ShardCrashedError:
                 return {"index": handle.index, "alive": False}
             stats["alive"] = True

@@ -13,9 +13,10 @@ endpoint           method semantics
 ``/v1/healthz``     GET   liveness + per-shard states (pids, generations)
 ================== ====== =====================================================
 
-Two layers of load shedding, both answering **429 + Retry-After**: a
-global open-request ceiling on the edge process, and the router's
-per-shard in-flight window.  A *draining* edge (SIGTERM, or
+One admission ceiling per process, each answering **429 +
+Retry-After**: the edge's ``max_open_requests``, and each shard
+service's ``max_pending``, whose ``ServiceOverloadedError`` crosses
+the shard pipe typed.  A *draining* edge (SIGTERM, or
 :meth:`EdgeServer.drain` directly) instead answers **503 + Retry-After**
 on everything but ``/v1/metrics`` and ``/v1/healthz`` while in-flight
 requests run to completion — the shutdown contract
@@ -35,7 +36,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Awaitable, Callable
 
 from repro.exceptions import (
     EdgeProtocolError,
@@ -59,26 +60,22 @@ class EdgeConfig:
     """Tuning knobs of an :class:`EdgeServer`.
 
     ``port=0`` binds an ephemeral port (read it back from
-    ``server.port`` — the tests do).  ``max_open_requests`` is the
-    edge-global admission ceiling; ``queue_limit`` bounds each shard's
-    in-flight window (see :class:`~repro.edge.router.RouterConfig`).
-    ``retry_after`` is the hint sent with every 429/503.
-    ``service_options`` passes through to each shard's service config.
+    ``server.port`` — the tests do).  ``router`` is the fleet behind
+    the edge, each shard's ``ServiceConfig`` included (see
+    :class:`~repro.edge.router.RouterConfig`).  ``max_open_requests``
+    is the edge process's admission ceiling.  ``retry_after`` is the
+    hint sent with every 429/503.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    num_shards: int = 2
-    store_path: str | None = None
+    router: RouterConfig = field(default_factory=RouterConfig)
     max_body_bytes: int = 8 * 1024 * 1024
     read_timeout: float = 30.0
     max_open_requests: int = 256
-    queue_limit: int = 64
-    retry_budget: int = 1
     retry_after: int = 1
     batch_max_items: int = 256
     drain_timeout: float = 30.0
-    service_options: dict[str, Any] = field(default_factory=dict)
 
 
 class EdgeServer:
@@ -123,15 +120,8 @@ class EdgeServer:
         return self._draining
 
     async def start(self) -> "EdgeServer":
-        router_config = RouterConfig(
-            num_shards=self.config.num_shards,
-            store_path=self.config.store_path,
-            queue_limit=self.config.queue_limit,
-            retry_budget=self.config.retry_budget,
-            service_options=dict(self.config.service_options),
-        )
         self.router = ShardRouter(
-            router_config, loop=asyncio.get_running_loop()
+            self.config.router, loop=asyncio.get_running_loop()
         )
         await self.router.start()
         self._server = await asyncio.start_server(
@@ -404,7 +394,7 @@ class EdgeServer:
         return {
             "status": "draining" if self._draining else "ok",
             "draining": self._draining,
-            "num_shards": self.config.num_shards,
+            "num_shards": self.config.router.num_shards,
             "open_requests": self._open_requests,
             "shards": self.router.shard_states(),
         }
@@ -444,8 +434,8 @@ async def serve_forever(config: EdgeConfig) -> None:
         json.dumps(
             {
                 "listening": f"{config.host}:{server.port}",
-                "num_shards": config.num_shards,
-                "store_path": config.store_path,
+                "num_shards": config.router.num_shards,
+                "store_path": config.router.store_path,
             }
         ),
         flush=True,

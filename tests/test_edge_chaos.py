@@ -30,7 +30,7 @@ import pytest
 from _edge_harness import RunningEdge, wait_for
 from _workloads import mixed_service_workload
 from repro.core import solve
-from repro.edge import EdgeClient, EdgeConfig, shard_for
+from repro.edge import EdgeClient, EdgeConfig, RouterConfig, shard_for
 from repro.exceptions import EdgeProtocolError, ReproError
 from repro.structures.fingerprint import instance_fingerprint
 from repro.structures.graphs import clique, random_graph
@@ -81,10 +81,10 @@ def test_sigkill_shard_mid_flight(seed, tmp_path):
         for label, source, target in corpus
     }
     config = EdgeConfig(
-        num_shards=NUM_SHARDS,
-        store_path=str(tmp_path / "store"),
+        router=RouterConfig(
+            num_shards=NUM_SHARDS, store_path=str(tmp_path / "store")
+        ),
         max_body_bytes=8 * 1024 * 1024,
-        retry_budget=1,
     )
     with RunningEdge(config) as edge:
         client = EdgeClient(edge.host, edge.port, timeout=STORM_TIMEOUT)

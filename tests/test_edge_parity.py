@@ -24,7 +24,7 @@ from _edge_harness import RunningEdge
 from _workloads import containment_pair, mixed_service_workload
 from repro.core import solve
 from repro.cq.containment import contains
-from repro.edge import EdgeClient, EdgeConfig, shard_for
+from repro.edge import EdgeClient, EdgeConfig, RouterConfig, shard_for
 from repro.structures.fingerprint import instance_fingerprint
 from repro.structures.graphs import clique, random_graph
 from repro.structures.homomorphism import is_homomorphism
@@ -45,7 +45,10 @@ def _containment_corpus():
 
 @pytest.fixture(scope="module")
 def edge():
-    config = EdgeConfig(num_shards=NUM_SHARDS, max_body_bytes=8 * 1024 * 1024)
+    config = EdgeConfig(
+        router=RouterConfig(num_shards=NUM_SHARDS),
+        max_body_bytes=8 * 1024 * 1024,
+    )
     with RunningEdge(config) as running:
         yield running
     assert running.sentry.messages() == []

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 from _edge_harness import RunningEdge, wait_for
 from test_io import JSON_VALUES, STRUCTURE_SHAPED
-from repro.edge import EdgeConfig
+from repro.edge import EdgeConfig, RouterConfig
 from repro.edge import protocol
 from repro.exceptions import EdgeProtocolError
 from repro.structures.graphs import clique, random_graph
@@ -223,7 +223,9 @@ MAX_BODY = 65536
 @pytest.fixture(scope="module")
 def edge():
     """One live edge (2 shards) shared by the whole conformance run."""
-    config = EdgeConfig(num_shards=2, max_body_bytes=MAX_BODY)
+    config = EdgeConfig(
+        router=RouterConfig(num_shards=2), max_body_bytes=MAX_BODY
+    )
     with RunningEdge(config) as running:
         yield running
     assert running.sentry.messages() == []
@@ -541,7 +543,9 @@ def _slow_solve_request() -> bytes:
 def test_draining_edge_rejects_new_work_and_finishes_inflight():
     import asyncio
 
-    config = EdgeConfig(num_shards=1, max_body_bytes=4 * 1024 * 1024)
+    config = EdgeConfig(
+        router=RouterConfig(num_shards=1), max_body_bytes=4 * 1024 * 1024
+    )
     with RunningEdge(config) as edge:
         slow_request = _slow_solve_request()
         result: dict = {}
