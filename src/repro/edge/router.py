@@ -217,9 +217,13 @@ async def _shard_serve(index: int, sock, config: ServiceConfig) -> None:
             break  # the edge process died; shut down quietly
         if op == "drain":
             draining = True
+            # One loop turn lets every received request reach its submit;
+            # then the service's grace bounds them (it cancels stragglers,
+            # which fail typed), so the handlers finish promptly after it.
+            await asyncio.sleep(0)
+            clean = await service.drain(payload.get("timeout"))
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-            clean = await service.drain(payload.get("timeout"))
             await reply(request_id, True, {"clean": clean})
             break
         task = asyncio.ensure_future(handle(request_id, op, payload))
@@ -534,6 +538,10 @@ class ShardRouter:
         handle = self._handles[shard_index]
         attempts = CRASH_RETRIES + 1
         for attempt in range(attempts):
+            # A closing shard is never respawned: fail at once instead of
+            # waiting out SPAWN_TIMEOUT for it.
+            if handle._closing:
+                raise ShardCrashedError(f"shard {shard_index} is closing")
             if not handle.alive:
                 # A dead shard sheds load instead of queueing blind: the
                 # respawn takes ~a backoff; clients retry after it.
@@ -546,7 +554,7 @@ class ShardRouter:
             try:
                 result = await handle.call(op, payload)
             except ShardCrashedError:
-                if attempt == attempts - 1:
+                if attempt == attempts - 1 or handle._closing:
                     raise
                 await self._await_respawn(handle)
                 continue

@@ -46,6 +46,7 @@ from repro.kernel.compile import (
     compile_source,
     compile_target,
 )
+from repro.structures.gaifman import gaifman_masks
 from repro.structures.structure import Structure
 from repro.treewidth.decomposition import TreeDecomposition
 
@@ -146,7 +147,7 @@ def estimate_cost(
 def gaifman_degree_stats(
     source: Structure | CompiledSource,
 ) -> tuple[int, float]:
-    """``(max, average)`` Gaifman degree, off the compiled scopes.
+    """``(max, average)`` Gaifman degree, off the Gaifman bitmasks.
 
     The Gaifman degree of an element is the number of distinct elements
     it co-occurs with in some fact — a one-pass, decomposition-free
@@ -158,18 +159,10 @@ def gaifman_degree_stats(
     memoized = csource._gaifman_stats
     if memoized is not None:
         return memoized
-    n = len(csource.variables)
-    if n == 0:
+    if not csource.variables:
         return 0, 0.0
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    for _name, scope in csource.constraints:
-        distinct = set(scope)
-        if len(distinct) < 2:
-            continue
-        for x in distinct:
-            neighbours[x].update(distinct)
-    degrees = [len(adjacent - {x}) for x, adjacent in enumerate(neighbours)]
-    stats = max(degrees), sum(degrees) / n
+    degrees = [mask.bit_count() for mask in gaifman_masks(csource.structure)[1]]
+    stats = max(degrees), sum(degrees) / len(degrees)
     csource._gaifman_stats = stats
     return stats
 

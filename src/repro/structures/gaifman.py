@@ -11,15 +11,34 @@ treewidth ``n − 1`` but incidence treewidth 1.
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.structures.structure import Structure
 
-__all__ = ["gaifman_graph", "incidence_graph", "primal_edges"]
+if TYPE_CHECKING:
+    import networkx as nx
+
+__all__ = ["gaifman_graph", "gaifman_masks", "incidence_graph", "primal_edges"]
 
 Element = Hashable
+
+
+def gaifman_masks(
+    structure: Structure,
+) -> tuple[tuple[Element, ...], list[int]]:
+    """The Gaifman graph as ``(sorted_universe, masks)``: bit ``j`` of
+    ``masks[i]`` marks an edge between elements ``i`` and ``j``."""
+    elements = structure.sorted_universe
+    index = {element: i for i, element in enumerate(elements)}
+    masks = [0] * len(elements)
+    for _symbol, facts in structure.relations():
+        for fact in facts:
+            scope = 0
+            for element in fact:
+                scope |= 1 << index[element]
+            for element in fact:
+                masks[index[element]] |= scope
+    return elements, [mask & ~(1 << i) for i, mask in enumerate(masks)]
 
 
 def primal_edges(structure: Structure) -> set[frozenset[Element]]:
@@ -36,6 +55,8 @@ def primal_edges(structure: Structure) -> set[frozenset[Element]]:
 
 def gaifman_graph(structure: Structure) -> nx.Graph:
     """The Gaifman (primal) graph of a structure as a networkx graph."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(structure.universe)
     for edge in primal_edges(structure):
@@ -50,6 +71,8 @@ def incidence_graph(structure: Structure) -> nx.Graph:
     Tuple nodes are tagged ``("tuple", relation name, fact)`` and element
     nodes ``("element", element)`` so the two parts cannot collide.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for element in structure.universe:
         graph.add_node(("element", element), bipartite=0)

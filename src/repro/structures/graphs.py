@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from typing import Hashable, Iterable
 
-import networkx as nx
-
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import RelationSymbol, Vocabulary
 
@@ -59,6 +57,8 @@ def digraph_structure(
 
 def to_networkx(structure: Structure, *, directed: bool = False):
     """Convert an ``{E/2}`` structure to a networkx (Di)Graph."""
+    import networkx as nx
+
     graph = nx.DiGraph() if directed else nx.Graph()
     graph.add_nodes_from(structure.universe)
     graph.add_edges_from(structure.relation("E"))
@@ -130,6 +130,8 @@ def is_two_colorable(structure: Structure) -> bool:
     Used as an oracle in tests of Examples 3.7/3.8: a directed graph maps
     homomorphically to C₄ iff it is 2-colorable.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(structure.universe)
     graph.add_edges_from(structure.relation("E"))

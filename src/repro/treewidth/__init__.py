@@ -22,7 +22,6 @@ from repro.treewidth.nice import (
 )
 from repro.treewidth.heuristics import (
     decompose,
-    decomposition_from_order,
     elimination_order,
     treewidth_upper_bound,
 )
@@ -30,7 +29,6 @@ from repro.treewidth.heuristics import (
 __all__ = [
     "TreeDecomposition",
     "decompose",
-    "decomposition_from_order",
     "elimination_order",
     "treewidth_upper_bound",
     "exact_treewidth",

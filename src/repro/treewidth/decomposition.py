@@ -10,9 +10,8 @@ Gaifman graph coincide, so all graph-theoretic machinery applies verbatim.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
-
-import networkx as nx
 
 from repro.exceptions import DecompositionError
 from repro.structures.structure import Structure
@@ -27,7 +26,9 @@ class TreeDecomposition:
 
     ``bags`` is a sequence of element sets; ``edges`` connects bag indices.
     A single-bag decomposition needs no edges.  Validity with respect to a
-    structure is checked by :meth:`validate`.
+    structure is checked by :meth:`validate`.  Pickles carry only the
+    bags and edges: the tree's adjacency and the kernel's program memo
+    are rebuilt on demand.
     """
 
     def __init__(
@@ -49,14 +50,28 @@ class TreeDecomposition:
                 raise DecompositionError(f"edge ({i}, {j}) out of range")
             if i == j:
                 raise DecompositionError("self-loop in the decomposition tree")
-        tree = self.tree()
-        if not nx.is_tree(tree):
+        # n - 1 distinct edges that reach every node from node 0: a tree.
+        if len(set(self.edges)) != count - 1 or len(self.rooted(0)) != count:
             raise DecompositionError("decomposition graph is not a tree")
+
+    def __getstate__(self) -> dict:
+        return {"bags": self.bags, "edges": self.edges}
 
     # -- basic views ------------------------------------------------------------
 
-    def tree(self) -> nx.Graph:
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour lists of the tree, indexed by bag."""
+        neighbours: list[list[int]] = [[] for _ in self.bags]
+        for i, j in set(self.edges):
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        return tuple(tuple(sorted(adjacent)) for adjacent in neighbours)
+
+    def tree(self):
         """The decomposition tree as a networkx graph over bag indices."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(len(self.bags)))
         graph.add_edges_from(self.edges)
@@ -77,36 +92,40 @@ class TreeDecomposition:
 
     # -- validity -----------------------------------------------------------------
 
-    def covers_fact(self, fact: tuple[Element, ...]) -> bool:
-        needed = set(fact)
-        return any(needed <= bag for bag in self.bags)
-
     def validate(self, structure: Structure) -> None:
         """Raise :class:`DecompositionError` unless this is a valid tree
         decomposition of ``structure``."""
-        covered: set[Element] = set()
-        for bag in self.bags:
-            covered.update(bag)
-        missing = structure.universe - covered
+        occurs: dict[Element, list[int]] = {}
+        for index, bag in enumerate(self.bags):
+            for element in bag:
+                occurs.setdefault(element, []).append(index)
+        missing = structure.universe - occurs.keys()
         if missing:
             raise DecompositionError(
                 f"elements missing from every bag: {sorted(map(repr, missing))}"
             )
-        for name, fact in structure.facts():
-            if not self.covers_fact(fact):
-                raise DecompositionError(
-                    f"fact {name}{fact!r} is not inside any bag"
-                )
+        bags = self.bags
+        for symbol, facts in structure.relations():
+            for fact in facts:
+                # A covering bag holds the fact's first element.
+                if fact and not any(
+                    bags[index].issuperset(fact) for index in occurs[fact[0]]
+                ):
+                    raise DecompositionError(
+                        f"fact {symbol.name}{fact!r} is not inside any bag"
+                    )
         # Connectivity: the bags containing each element form a subtree.
-        tree = self.tree()
-        for element in covered:
-            nodes = [
-                index
-                for index, bag in enumerate(self.bags)
-                if element in bag
-            ]
-            induced = tree.subgraph(nodes)
-            if not nx.is_connected(induced):
+        neighbours = self._neighbours
+        for element, nodes in occurs.items():
+            inside = set(nodes)
+            reached = {nodes[0]}
+            frontier = [nodes[0]]
+            while frontier:
+                for node in neighbours[frontier.pop()]:
+                    if node in inside and node not in reached:
+                        reached.add(node)
+                        frontier.append(node)
+            if len(reached) != len(inside):
                 raise DecompositionError(
                     f"bags containing {element!r} are not connected"
                 )
@@ -123,21 +142,16 @@ class TreeDecomposition:
 
     def rooted(self, root: int = 0) -> list[tuple[int, int | None]]:
         """Nodes in BFS order as ``(node, parent)`` pairs (root first)."""
-        tree = self.tree()
+        if not 0 <= root < len(self.bags):
+            raise DecompositionError(f"root {root} out of range")
+        neighbours = self._neighbours
         order: list[tuple[int, int | None]] = [(root, None)]
         seen = {root}
-        frontier = [root]
-        while frontier:
-            new_frontier = []
-            for node in frontier:
-                for neighbour in sorted(tree.neighbors(node)):
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        order.append((neighbour, node))
-                        new_frontier.append(neighbour)
-            frontier = new_frontier
-        if len(seen) != len(self.bags):
-            raise DecompositionError("decomposition tree is disconnected")
+        for node, _parent in order:  # the list is the BFS queue
+            for neighbour in neighbours[node]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    order.append((neighbour, node))
         return order
 
     def assign_facts(

@@ -15,12 +15,13 @@ order whose every prefix ``S`` extends by a vertex ``v`` with
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.structures.gaifman import gaifman_graph
 from repro.structures.structure import Structure
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["exact_treewidth", "is_treewidth_at_most", "exact_treewidth_graph"]
 

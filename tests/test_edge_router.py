@@ -5,7 +5,9 @@ streams at both ends.  These tests pin what that buys and what it must
 survive: no thread is spent on pipe I/O on either side, a frame far
 larger than the stream buffers crosses intact without wedging the
 requests behind it, and a truncated frame is a crash like any other —
-in-flight calls fail typed and the shard comes back.
+in-flight calls fail typed and the shard comes back.  Shutdown is
+bounded: the drain grace bounds an in-flight solve, and a closing shard
+fails its requests at once instead of waiting for a respawn.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import asyncio
 import os
 import pickle
 import threading
+import time
 
 import pytest
 
 from repro.core import solve
 from repro.edge.router import RouterConfig, ShardRouter, _HEADER
-from repro.exceptions import ShardCrashedError
+from repro.exceptions import ShardCrashedError, SolveTimeoutError
 from repro.structures.graphs import clique, cycle, random_graph
 
 #: ``thread_workers`` a shard's service runs with unless overridden.
@@ -117,3 +120,49 @@ def test_truncated_frame_is_a_crash():
 
     result = _run(RouterConfig(num_shards=1), serve)
     assert result["verdict"] is True
+
+
+#: K10 into a dense G(60, 0.6): runs for minutes without a deadline.
+SLOW = {"source": clique(10), "target": random_graph(60, 0.6, seed=2)}
+
+
+async def _start_slow(router) -> asyncio.Future:
+    """Send ``SLOW`` through the router; return once it is in flight."""
+    in_flight = asyncio.ensure_future(router.solve(dict(SLOW)))
+    while router.shard_states()[0]["inflight"] == 0:
+        await asyncio.sleep(0.01)
+    return in_flight
+
+
+def test_drain_grace_bounds_an_inflight_solve():
+    async def serve(router):
+        in_flight = await _start_slow(router)
+        started = time.monotonic()
+        clean = await router.drain(0.5)
+        elapsed = time.monotonic() - started
+        with pytest.raises(SolveTimeoutError):
+            await in_flight
+        return clean, elapsed
+
+    clean, elapsed = _run(RouterConfig(num_shards=1), serve)
+    assert clean is False
+    assert elapsed < 10.0
+
+
+def test_closing_shard_fails_inflight_requests_at_once():
+    async def serve(router):
+        handle = router._handles[0]
+        in_flight = await _start_slow(router)
+        draining = asyncio.ensure_future(router.drain(30.0))
+        while not handle._closing:
+            await asyncio.sleep(0)
+        handle.process.kill()  # a crash mid-close: no respawn follows
+        started = time.monotonic()
+        with pytest.raises(ShardCrashedError):
+            await asyncio.wait_for(in_flight, 5.0)
+        assert time.monotonic() - started < 5.0
+        assert await draining is False
+        with pytest.raises(ShardCrashedError):
+            await router.solve({"source": cycle(4), "target": clique(2)})
+
+    _run(RouterConfig(num_shards=1), serve)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.csp.generators import bounded_treewidth_structure
 from repro.exceptions import DecompositionError
-from repro.structures.gaifman import gaifman_graph
 from repro.structures.graphs import clique, cycle, graph_structure, path
 from repro.structures.homomorphism import (
     homomorphism_exists,
@@ -26,7 +25,6 @@ from repro.treewidth.exact import (
 )
 from repro.treewidth.heuristics import (
     decompose,
-    decomposition_from_order,
     elimination_order,
     treewidth_upper_bound,
 )
@@ -119,13 +117,13 @@ class TestHeuristics:
         assert treewidth_upper_bound(clique(5)) == 4
 
     def test_elimination_order_covers_all_vertices(self):
-        g = gaifman_graph(cycle(6))
-        order = elimination_order(g)
-        assert sorted(order) == sorted(g.nodes)
+        c = cycle(6)
+        order = elimination_order(c)
+        assert sorted(order) == sorted(c.universe)
 
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValueError):
-            elimination_order(gaifman_graph(path(3)), "bogus")
+            elimination_order(path(3), "bogus")
 
     def test_disconnected_graph_decomposes(self):
         s = graph_structure(range(6), [(0, 1), (3, 4)])
